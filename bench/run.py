@@ -9,7 +9,8 @@ an error before printing any result.  Workloads (see README.md):
 
 With ``--trace 0`` the run measures set-up in fresh processes, then repeats
 whole passes of the workload while the next one still fits in ``--seconds``
-(at least one), and prints the end-to-end metrics.  With ``--trace 1`` it
+(at least one), with the host's speed sampled throughout (``hostspeed.py``),
+and prints the end-to-end metrics.  With ``--trace 1`` it
 runs one untraced pass, which also times the solve probe, and one traced
 pass, and prints the per-layer metrics, including the solve latencies and
 the tracing overhead.  Either way it checks every output it
@@ -120,12 +121,19 @@ def run(args) -> tuple[dict, dict]:
     steal0 = steal_ticks()
     setup_samples = [] if args.trace else measure_setup(args)
     inp, tally = setup(args.workload, args.seed)
+    import hostspeed
     import workloads
 
-    latencies, gates, pass_s = [], {}, []
+    latencies, gates, pass_s, pass_ref, kernel_ms = [], {}, [], [], []
     while True:
-        pass_s.append(workloads.run_pass(inp, tally, gates, latencies if args.trace else None))
-        if args.trace or sum(pass_s) + pass_s[-1] > args.seconds:
+        if args.trace:
+            pass_s.append(workloads.run_pass(inp, tally, gates, latencies))
+            break
+        with hostspeed.Sampler() as host:
+            pass_s.append(workloads.run_pass(inp, tally, gates))
+        pass_ref.append(host.normalized(pass_s[-1]))
+        kernel_ms.append(host.kernel_ms())
+        if sum(pass_s) + pass_s[-1] > args.seconds:
             break
 
     info = {"workload": args.workload, "seed": args.seed, "pass_s": pass_s}
@@ -148,15 +156,16 @@ def run(args) -> tuple[dict, dict]:
     if not args.trace:
         metrics = {
             "setup_s": statistics.median(setup_samples),
-            "wall_s": statistics.median(pass_s),
+            "wall_ref": statistics.median(pass_ref),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "ok_frac": 1.0 - len(tally.failures) / tally.attempted,
             "cumulant_rel_err": oracle["cumulant_rel_err"],
             "v_inf_rel_err": oracle["v_inf_rel_err"],
         }
-        units = {"setup_s": "s", "wall_s": "s", "peak_rss_mb": "MiB", "ok_frac": "frac",
+        units = {"setup_s": "s", "wall_ref": "ref", "peak_rss_mb": "MiB", "ok_frac": "frac",
                  "cumulant_rel_err": "rel", "v_inf_rel_err": "rel"}
-        info.update(setup_samples=setup_samples)
+        info.update(setup_samples=setup_samples, wall_s=statistics.median(pass_s),
+                    pass_ref=pass_ref, ref_kernel_ms=kernel_ms)
 
     steal1 = steal_ticks()
     info.update(
