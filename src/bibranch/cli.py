@@ -249,24 +249,34 @@ def cmd_extinction(args):
     return 0
 
 
+def _scenario_from_config(cfg) -> Scenario:
+    """One verify scenario; run options go through the same path as simulate."""
+    env = cfgmod.env_from_config(cfg)
+    run = cfg.get("run", {})
+    opts = _sim_options(None, run)  # verify has no per-option flags
+    x0_high = run.get("x0_high")
+    return Scenario(
+        name=cfg.get("name", "scenario"),
+        env=env,
+        x0=tuple(run.get("x0", (1.0, 1.0))),
+        t=float(run.get("t", env.horizon)),
+        checkpoints=tuple(run.get("checkpoints", (env.horizon,))),
+        lam_grid=tuple(tuple(l) for l in run.get("lambda_grid", [(1.0, 1.0)])),
+        n_paths=int(run.get("paths", 10000)),
+        seed=int(run.get("seed", 0)),
+        step=opts.step,
+        small_jump_mode=opts.small_jump_mode,
+        small_jump_eps=opts.small_jump_eps,
+        zeta=cfgmod.zeta_from_config(cfg),
+        x0_high=tuple(x0_high) if x0_high is not None else None,
+        coupled_pairs=int(run.get("coupled_pairs", 0)),
+        truncation=bool(run.get("truncation", False)),
+    )
+
+
 def cmd_verify(args):
     if args.scenario:
-        cfg = cfgmod.load_config(args.scenario)
-        env = cfgmod.env_from_config(cfg)
-        run = cfg.get("run", {})
-        sc = Scenario(
-            name=cfg.get("name", "scenario"),
-            env=env,
-            x0=tuple(run.get("x0", (1.0, 1.0))),
-            t=float(run.get("t", env.horizon)),
-            checkpoints=tuple(run.get("checkpoints", (env.horizon,))),
-            lam_grid=tuple(tuple(l) for l in run.get("lambda_grid", [(1.0, 1.0)])),
-            n_paths=int(run.get("paths", 10000)),
-            seed=int(run.get("seed", 0)),
-            step=float(run.get("step", 1e-3)),
-            zeta=cfgmod.zeta_from_config(cfg),
-        )
-        scenarios = [sc]
+        scenarios = [_scenario_from_config(cfgmod.load_config(args.scenario))]
     else:
         scenarios = suite()
     reports = run_suite(scenarios, threads=args.threads)
@@ -351,7 +361,8 @@ def build_parser() -> _Parser:
     q.add_argument("--threads", type=int,
                    default=int(os.environ.get("BIBRANCH_THREADS", "0"))
                    or (os.cpu_count() or 1),
-                   help="scenario worker threads (env BIBRANCH_THREADS overrides)")
+                   help="scenario worker threads (overrides env BIBRANCH_THREADS, "
+                        "which sets the default; otherwise the CPU count)")
     q.set_defaults(func=cmd_verify)
 
     return p

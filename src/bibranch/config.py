@@ -19,7 +19,10 @@ Layout::
       "zeta": [{"density": {...}, "atoms": [...]}, {...}],     # optional weights
       "run": {"seed": 1, "paths": 10000, "step": 1e-3, "t": 1.0,
               "x0": [1.0, 0.0], "checkpoints": [0.5, 1.0],
-              "lambda_grid": [[1.0, 0.0], [2.0, 0.0]]}          # optional defaults
+              "lambda_grid": [[1.0, 0.0], [2.0, 0.0]],
+              "small_jump_mode": "drop", "small_jump_eps": 1e-2,
+              "x0_high": [2.0, 0.0], "coupled_pairs": 0,           # verify only
+              "truncation": false}                                 # optional defaults
     }
 
 Density specs: ``{"kind": "constant", "v": 1.0}``,

@@ -11,11 +11,13 @@ type, using the uncompensated-cross form of the driving equations:
            difference between bar_b and b, so this equals the compensated
            form with the augmented drift)
 
-Finite-activity components draw Poisson(X_p * rate * mass * h) events from
-the normalized spatial measure; power-tail components are split at a
-threshold eps: exact thinning above, and below either the compensated
-remainder is dropped or replaced by a variance-matched Gaussian.  At atom
-times the branching update is exact:
+Finite-activity components give path i Poisson(X_p,i * rate * mass * h)
+events with marks from the normalized spatial measure, drawn by superposition:
+one Poisson total per channel and step, each event assigned to a path in
+proportion to its rate, so the per-path counts are exactly independent.
+Power-tail components are split at a threshold eps: exact thinning above, and
+below either the compensated remainder is dropped or replaced by a
+variance-matched Gaussian.  At atom times the branching update is exact:
 
     X_i(s) = X_i(s-) (1 - delta_i(s)) + X_j(s-) db_ji(s) + Poisson sums.
 
@@ -76,7 +78,6 @@ class SimOptions:
     small_jump_mode: str = "drop"  # or "gaussian"
     du: float = 1e-3  # u-bin width for coupled diffusion
     jump_count_guard: float = 1e6  # expected events per path per step
-    max_redominate: int = 60
 
     def __post_init__(self):
         if self.step <= 0 or self.small_jump_eps <= 0 or self.du <= 0:
@@ -131,6 +132,15 @@ class _AtomRand:
     keep: tuple  # 1 - delta_i
     cross: tuple  # raw cross atom masses feeding type i from type j
     jumps: tuple  # (p, mass, sampler) triples
+
+    @classmethod
+    def from_info(cls, info) -> "_AtomRand":
+        return cls(
+            tuple(1.0 - (info.db[i][i] + sum(m.mean(i) for m in info.jumps[i]))
+                  for i in range(2)),
+            tuple(info.db[1 - i][i] for i in range(2)),
+            tuple((p, meas.mass(), meas.sample) for p in range(2) for meas in info.jumps[p]),
+        )
 
 
 class _StepPlan:
@@ -200,25 +210,9 @@ class _StepPlan:
         for ch in self.channels:
             ch.rates_dt = ch.rates * self.dts
 
-        self.atom_at: dict[int, _AtomRand] = {}
         atom_times = set(env.atom_times(t0, t))
-        for k, s in enumerate(self.mesh):
-            if s in atom_times:
-                info = atom_info(env, s)
-                jumps = []
-                for p in range(2):
-                    for meas in info.jumps[p]:
-                        jumps.append((
-                            p, meas.mass(),
-                            (lambda m: (lambda rng, n: m.sample(rng, n)))(meas),
-                        ))
-                keep, cross = [], []
-                for i in range(2):
-                    j = 1 - i
-                    delta_i = info.db[i][i] + sum(m.mean(i) for m in info.jumps[i])
-                    keep.append(1.0 - delta_i)
-                    cross.append(info.db[j][i])
-                self.atom_at[k] = _AtomRand(tuple(keep), tuple(cross), tuple(jumps))
+        self.atom_at = {k: _AtomRand.from_info(atom_info(env, s))
+                        for k, s in enumerate(self.mesh) if s in atom_times}
 
         self.index_of = {float(s): k for k, s in enumerate(self.mesh)}
         self.zeta = zeta
@@ -234,11 +228,36 @@ class _StepPlan:
             }
 
 
-def _scatter_jumps(counts, Z, out0, out1):
-    idx = np.repeat(np.arange(counts.size), counts)
-    n = counts.size
-    out0 += np.bincount(idx, weights=Z[:, 0], minlength=n)
-    out1 += np.bincount(idx, weights=Z[:, 1], minlength=n)
+def _event_paths(rng, r: float, x, guard: float = math.inf) -> np.ndarray:
+    """Path index of every event when path i has Poisson(r * x[i]) events.
+
+    Superposition: one Poisson(r * sum(x)) total, each event assigned to path
+    i with probability x[i] / sum(x), so the per-path counts are exactly
+    independent Poisson.  A scalar x stands for x paths of unit weight.
+    Raises SimulationError when some r * x[i] exceeds guard.
+    """
+    if np.ndim(x) == 0:
+        return rng.integers(x, size=rng.poisson(r * x))
+    cum = np.cumsum(x)
+    mass = cum[-1] if cum.size else 0.0
+    # x >= 0 makes cum[-1] >= max(x) after rounding, so the sum screens the max
+    if mass * r > guard and x.max() * r > guard:
+        raise SimulationError(
+            "step-overflow: expected jump count per step exceeds guard; reduce step"
+        )
+    if mass == 0.0:
+        return np.empty(0, dtype=np.intp)
+    # sorted keys make the lookups walk cum in order; marks are iid, so the
+    # order in which events are listed does not change the law
+    u = np.sort(rng.random(rng.poisson(r * mass))) * mass
+    idx = np.searchsorted(cum, u, side="right")
+    # U * mass rounds up to a subnormal mass: keep it on the last positive path
+    return np.minimum(idx, np.searchsorted(cum, mass, side="left"), out=idx)
+
+
+def _add_marks(idx, Z, out0, out1):
+    out0 += np.bincount(idx, weights=Z[:, 0], minlength=out0.size)
+    out1 += np.bincount(idx, weights=Z[:, 1], minlength=out1.size)
 
 
 def _noise_term(coef: float, x, rng, n: int):
@@ -267,16 +286,9 @@ def _euler_step(plan: _StepPlan, k: int, X: np.ndarray, rng) -> np.ndarray:
         r = ch.rates_dt[k]
         if r == 0.0:
             continue
-        lam = X[:, ch.p] * r
-        if lam.max(initial=0.0) > plan.opts.jump_count_guard:
-            raise SimulationError(
-                "step-overflow: expected jump count per step exceeds guard; reduce step"
-            )
-        counts = rng.poisson(lam)
-        total = int(counts.sum())
-        if total:
-            Z = ch.sample(rng, total)
-            _scatter_jumps(counts, Z, new0, new1)
+        idx = _event_paths(rng, r, X[:, ch.p], plan.opts.jump_count_guard)
+        if idx.size:
+            _add_marks(idx, ch.sample(rng, idx.size), new0, new1)
     np.maximum(new0, 0.0, out=new0)
     np.maximum(new1, 0.0, out=new1)
     return np.column_stack([new0, new1])
@@ -286,11 +298,9 @@ def _atom_apply(atom: _AtomRand, X: np.ndarray, rng) -> np.ndarray:
     new0 = X[:, 0] * atom.keep[0] + X[:, 1] * atom.cross[0]
     new1 = X[:, 1] * atom.keep[1] + X[:, 0] * atom.cross[1]
     for p, mass, sampler in atom.jumps:
-        counts = rng.poisson(X[:, p] * mass)
-        total = int(counts.sum())
-        if total:
-            Z = sampler(rng, total)
-            _scatter_jumps(counts, Z, new0, new1)
+        idx = _event_paths(rng, mass, X[:, p])
+        if idx.size:
+            _add_marks(idx, sampler(rng, idx.size), new0, new1)
     np.maximum(new0, 0.0, out=new0)
     np.maximum(new1, 0.0, out=new1)
     return np.column_stack([new0, new1])
@@ -298,6 +308,8 @@ def _atom_apply(atom: _AtomRand, X: np.ndarray, rng) -> np.ndarray:
 
 def _run(plan: _StepPlan, x0, n: int, rng, collectors=()):
     X = np.tile(np.asarray(x0, dtype=float), (n, 1))
+    if np.any(X < 0):
+        raise ValueError("x0 must be componentwise nonnegative")
     for c in collectors:
         c.begin(plan, X)
     for k in range(len(plan.mesh) - 1):
@@ -389,20 +401,10 @@ def simulate_atom(env: EnvSpec, s: float, x_left, noise) -> np.ndarray:
     """Draw the exact branching update across the atom at time s."""
     rng = noise.substream("atom") if isinstance(noise, NoiseStream) else noise
     x = np.atleast_2d(np.asarray(x_left, dtype=float))
+    if np.any(x < 0):
+        raise ValueError("x_left must be componentwise nonnegative")
     info = atom_info(env, s)
-    if info is None:
-        out = x.copy()
-    else:
-        jumps = []
-        for p in range(2):
-            for meas in info.jumps[p]:
-                jumps.append((p, meas.mass(), (lambda m: (lambda r, n: m.sample(r, n)))(meas)))
-        keep, cross = [], []
-        for i in range(2):
-            j = 1 - i
-            keep.append(1.0 - (info.db[i][i] + sum(m.mean(i) for m in info.jumps[i])))
-            cross.append(info.db[j][i])
-        out = _atom_apply(_AtomRand(tuple(keep), tuple(cross), tuple(jumps)), x, rng)
+    out = x.copy() if info is None else _atom_apply(_AtomRand.from_info(info), x, rng)
     return out[0] if np.ndim(x_left) == 1 else out
 
 
@@ -591,18 +593,14 @@ def coupled_order_violations(env: EnvSpec, x0_low, x0_high, t: float, n_pairs: i
     violations = 0
     checks = 0
 
-    def jump_round(XL, XH, p, rate, sampler):
-        n_cand = rng.poisson(rate, n_pairs)
-        total = int(n_cand.sum())
-        if not total:
-            return
-        u = rng.random(total) * u_max
-        Z = sampler(rng, total)
-        idx = np.repeat(np.arange(n_pairs), n_cand)
-        for X in (XL, XH):
-            acc = u <= X[idx, p]
-            X[:, 0] += np.bincount(idx[acc], weights=Z[acc, 0], minlength=n_pairs)
-            X[:, 1] += np.bincount(idx[acc], weights=Z[acc, 1], minlength=n_pairs)
+    def jump_round(dest, src, p, rate, sampler):
+        # equal candidate rate per pair; keep a candidate iff u <= X_p in src
+        idx = _event_paths(rng, rate, n_pairs)
+        u = rng.random(idx.size) * u_max
+        Z = sampler(rng, idx.size)
+        for X, pre in zip(dest, src):
+            acc = u <= pre[idx, p]
+            _add_marks(idx[acc], Z[acc], X[:, 0], X[:, 1])
 
     for k in range(len(mesh) - 1):
         top = max(float(XL.max()), float(XH.max()))
@@ -623,7 +621,7 @@ def coupled_order_violations(env: EnvSpec, x0_low, x0_high, t: float, n_pairs: i
         for ch in plan.channels:
             r = ch.rates[k] * dt
             if r > 0.0:
-                jump_round(XL, XH, ch.p, u_max * r, ch.sample)
+                jump_round((XL, XH), (XL, XH), ch.p, u_max * r, ch.sample)
         np.maximum(XL, 0.0, out=XL)
         np.maximum(XH, 0.0, out=XH)
         atom = plan.atom_at.get(k + 1)
@@ -637,16 +635,7 @@ def coupled_order_violations(env: EnvSpec, x0_low, x0_high, t: float, n_pairs: i
             preL, preH = XL, XH
             XL, XH = detL, detH
             for p, mass, sampler in atom.jumps:
-                n_cand = rng.poisson(u_max * mass, n_pairs)
-                total = int(n_cand.sum())
-                if total:
-                    u = rng.random(total) * u_max
-                    Z = sampler(rng, total)
-                    idx = np.repeat(np.arange(n_pairs), n_cand)
-                    for X, pre in ((XL, preL), (XH, preH)):
-                        acc = u <= pre[idx, p]
-                        X[:, 0] += np.bincount(idx[acc], weights=Z[acc, 0], minlength=n_pairs)
-                        X[:, 1] += np.bincount(idx[acc], weights=Z[acc, 1], minlength=n_pairs)
+                jump_round((XL, XH), (preL, preH), p, u_max * mass, sampler)
             np.maximum(XL, 0.0, out=XL)
             np.maximum(XH, 0.0, out=XH)
         violations += int(np.count_nonzero((XL > XH).any(axis=1)))

@@ -20,6 +20,8 @@ from bibranch.moments import first_moment, moment_bound
 
 from conftest import feller_env, random_env
 
+pytestmark = pytest.mark.slow
+
 
 @pytest.fixture(scope="module")
 def suite_runs(tmp_path_factory):

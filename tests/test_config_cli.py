@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bibranch import config as cfgmod
-from bibranch.cli import main
+from bibranch.cli import _scenario_from_config, main
 from bibranch.densities import Density
 from bibranch.environment import JumpKernel
 from bibranch.measures import CappedStableAxis, ExpProduct, StableAxis
@@ -223,3 +224,17 @@ def test_cli_verify_scenario_file(tmp_path):
     assert payload["pass"] is True
     names = [c["name"] for c in payload["reports"][0]["checks"]]
     assert "laplace-cells" in names and "semigroup" in names
+
+
+def test_verify_scenario_honours_run_options():
+    cfg = cfgmod.load_config(Path(__file__).resolve().parents[1] / "configs" / "stable_jump.json")
+    sc = _scenario_from_config(cfg)
+    assert sc.small_jump_mode == "gaussian"
+    assert sc.sim_options().small_jump_mode == "gaussian"
+    assert (sc.x0_high, sc.coupled_pairs, sc.truncation) == (None, 0, False)
+    cfg["run"].update(small_jump_eps=0.05, x0_high=[2.0, 0.0], coupled_pairs=50,
+                      truncation=True)
+    sc = _scenario_from_config(cfg)
+    assert sc.small_jump_eps == 0.05
+    assert sc.x0_high == (2.0, 0.0)
+    assert sc.coupled_pairs == 50 and sc.truncation is True

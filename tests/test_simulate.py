@@ -11,6 +11,8 @@ from bibranch.moments import first_moment
 from bibranch.noise import NoiseStream
 from bibranch.simulate import (
     SimOptions,
+    SimulationError,
+    _event_paths,
     coupled_order_violations,
     coupled_pair,
     extinction_frequency,
@@ -227,3 +229,85 @@ def test_gaussian_small_jump_mode_runs():
                               NoiseStream(29))
     assert np.all(stats.mean >= 0.0)
     assert 0.0 < stats.laplace[-1, 0] < 1.0
+
+
+def test_event_paths_zero_state_gets_no_events():
+    # interior and trailing zeros; a large rate makes every positive path fire
+    x = np.array([0.0, 1.0, 0.0, 2.5, 0.0, 0.0])
+    rng = np.random.default_rng(31)
+    idx = np.concatenate([_event_paths(rng, 50.0, x) for _ in range(200)])
+    assert idx.size > 0
+    assert set(np.unique(idx).tolist()) == {1, 3}
+    assert _event_paths(rng, 50.0, np.zeros(4)).size == 0
+    assert _event_paths(rng, 50.0, np.zeros(0)).size == 0
+
+
+def test_atom_zero_rows_stay_exactly_zero():
+    env = make_env(m1=JumpKernel((), ((0.5, Dirac((0.0, 0.2), 5.0)),)))
+    rng = NoiseStream(33).substream("atom")
+    x_left = np.tile([[2.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], (2000, 1))
+    out = simulate_atom(env, 0.5, x_left, rng)
+    dead = x_left[:, 0] == 0.0
+    assert np.all(out[dead] == 0.0)
+    # live rows get Poisson(5 x_1) events of size 0.2 on the second coordinate
+    assert out[~dead, 1].mean() == pytest.approx(0.2 * 5.0 * 1.5, rel=0.05)
+
+
+def test_event_paths_counts_are_independent_poisson():
+    x = np.array([0.3, 1.0, 0.0, 2.0, 4.5])
+    r, reps = 1.5, 20_000
+    rng = np.random.default_rng(37)
+    counts = np.stack([np.bincount(_event_paths(rng, r, x), minlength=x.size)
+                       for _ in range(reps)])
+    lam = r * x
+    assert np.all(counts[:, 2] == 0)
+    live = lam > 0
+    se_mean = np.sqrt(lam[live] / reps)
+    assert np.all(np.abs(counts[:, live].mean(axis=0) - lam[live]) < 4 * se_mean)
+    # Poisson: var = lam, and the sample variance has SE sqrt((lam + 2 lam^2) / reps)
+    se_var = np.sqrt((lam[live] + 2 * lam[live] ** 2) / reps)
+    assert np.all(np.abs(counts[:, live].var(axis=0, ddof=1) - lam[live]) < 4 * se_var)
+
+
+class _ConstUniformRng:
+    """Seven events, every uniform equal to u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def poisson(self, lam):
+        return 7
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+@pytest.mark.parametrize("u, x, path", [
+    (1.0 - 2.0 ** -53, np.array([0.0, 1.5, 0.0, 3.0, 0.0, 0.0]), 3),
+    # a subnormal mass makes U * mass round up to the mass itself
+    (1.0 - 2.0 ** -53, np.array([0.0, 5e-324, 0.0, 0.0]), 1),
+    (0.0, np.array([0.0, 1.5, 0.0, 3.0, 0.0, 0.0]), 1),
+])
+def test_event_paths_extreme_uniforms_land_on_positive_paths(u, x, path):
+    idx = _event_paths(_ConstUniformRng(u), 1.0, x)
+    assert idx.size == 7
+    assert np.all(idx == path)
+
+
+def test_step_overflow_guard_threshold():
+    # one step of width 0.25 at unit rate and mass: expected events 0.25 * x
+    env = make_env(m1=JumpKernel(((Density.constant(1.0), Dirac((1.0, 0.0), 1.0)),)))
+    opts = SimOptions(step=0.25, jump_count_guard=2.0)
+    # exactly at the guard on every path: the summed rate is far above it
+    simulate_ensemble(env, (8.0, 0.0), 0.25, (0.25,), (), 10, opts, NoiseStream(41))
+    with pytest.raises(SimulationError, match="step-overflow"):
+        simulate_path(env, (8.5, 0.0), 0.25, opts, NoiseStream(41))
+
+
+def test_negative_start_rejected():
+    env = make_env(m1=JumpKernel(((Density.constant(1.0), Dirac((1.0, 0.0), 1.0)),)),
+                   m2=JumpKernel((), ((0.5, Dirac((0.0, 0.2), 1.0)),)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        simulate_path(env, (-0.5, 1.0), 0.1, SimOptions(step=1e-2), NoiseStream(43))
+    with pytest.raises(ValueError, match="nonnegative"):
+        simulate_atom(env, 0.5, (1.0, -0.5), NoiseStream(43).substream("atom"))
