@@ -11,7 +11,6 @@ from .densities import Density, SignedMeasure1D
 from .environment import (
     EnvSpec,
     JumpKernel,
-    K_integral,
     ValidationReport,
     atom_schedule,
     bar_b,

@@ -52,17 +52,11 @@ class LadderNotConverged(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Adaptive step control for the backward integrator.
-
-    ``quad_order`` is reserved for spatial components without closed-form
-    exponent integrals; every built-in component is analytic, so it is unused
-    by the shipped kinds.
-    """
+    """Adaptive step control for the backward integrator."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_step: float = 0.1
-    quad_order: int = 64
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0 or self.max_step <= 0:
@@ -147,7 +141,7 @@ class CumulantSolution:
         return ts, vs, is_atom, left
 
 
-def _atom_step_core(env, info, v_right):
+def _atom_step_core(info, v_right):
     """Closed-form left limit across one atom, argument already zeta-shifted."""
     v = np.maximum(np.asarray(v_right, dtype=float), 0.0)
     out = np.empty(2)
@@ -164,7 +158,7 @@ def atom_step(env: EnvSpec, s: float, v_right) -> np.ndarray:
     v = np.asarray(v_right, dtype=float)
     if info is None:
         return v.copy()
-    out = _atom_step_core(env, info, v)
+    out = _atom_step_core(info, v)
     neg_tol = 1e-9 * (1.0 + float(np.max(v)))
     if np.any(out < -neg_tol):
         raise SolverError(
@@ -252,7 +246,7 @@ def _integrate_backward(env, t, lam, opts, zeta=None, r_end=0.0):
         vr = np.maximum(v_right, 0.0)
         shifted = vr + zeta.atom_vector(s) if zeta is not None else vr
         info = atom_info(env, s)
-        v_left = _atom_step_core(env, info, shifted) if info is not None else shifted
+        v_left = _atom_step_core(info, shifted) if info is not None else shifted
         if np.any(v_left < -neg_tol):
             raise SolverError(f"negative-left-value at t={s:g}: {v_left}")
         v_left = np.maximum(v_left, 0.0)

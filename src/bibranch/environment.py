@@ -27,7 +27,6 @@ __all__ = [
     "validate",
     "delta",
     "bar_b",
-    "K_integral",
     "atom_schedule",
     "atom_info",
 ]
@@ -161,15 +160,6 @@ def bar_b(env: EnvSpec, j: int, i: int) -> SignedMeasure1D:
     density = env.b[j][i].density + env.m[j].mean_density(i)
     extra = [(t, meas.mean(i)) for t, meas in env.m[j].atoms if meas.mean(i) != 0.0]
     return SignedMeasure1D(density, _merge_atoms(env.b[j][i].atoms, extra))
-
-
-def K_integral(measure, i: int, lam) -> float:
-    """integral of K_i(lam, z) nu(dz) for one spatial component.
-
-    Raises :class:`UncompensatedStableError` when the component's first
-    moment on the uncompensated coordinate diverges.
-    """
-    return measure.compensated_exponent(i, lam)
 
 
 # -- validation -----------------------------------------------------------

@@ -21,18 +21,14 @@ from .cumulant import CumulantSolution, SolverOptions, _integrate_backward
 from .densities import SignedMeasure1D
 from .environment import EnvSpec
 from .noise import NoiseStream
-from .simulate import SimOptions, _FunctionalCollector, _StepPlan, _run
+from .simulate import SimOptions, _FunctionalCollector, _StepPlan, _run, _tile
 
 __all__ = [
     "WeightMeasure",
-    "FunctionalSolution",
     "solve_functional",
     "solve_w",
     "mc_functional",
 ]
-
-FunctionalSolution = CumulantSolution
-
 
 @dataclass(frozen=True)
 class WeightMeasure:
@@ -58,7 +54,7 @@ class WeightMeasure:
 
 
 def solve_functional(env: EnvSpec, zeta: WeightMeasure, t: float, lam,
-                     opts: SolverOptions | None = None) -> FunctionalSolution:
+                     opts: SolverOptions | None = None) -> CumulantSolution:
     """Solve the weight-shifted backward system for u_{.,t} on [0, t]."""
     return _integrate_backward(env, t, lam, opts, zeta=zeta, r_end=0.0)
 
@@ -83,7 +79,7 @@ def mc_functional(env: EnvSpec, x0, zeta: WeightMeasure, r: float, t: float,
     rng = noise.substream("ensemble")
     plan = _StepPlan(env, r, t, opts, zeta=zeta)
     coll = _FunctionalCollector()
-    _run(plan, x0, n_paths, rng, (coll,))
+    _run(plan, _tile(x0, n_paths), rng, (coll,))
     w = np.exp(-coll.A)
     est = float(w.mean())
     se = float(w.std(ddof=1) / math.sqrt(n_paths))

@@ -23,12 +23,21 @@ variance-matched Gaussian.  At atom times the branching update is exact:
 
 States are clamped at zero after every step; extinction is exact membership
 of the origin.
+
+Coupled pairs take the same step on one (2h, 2) state, low copies in rows
+[0, h) and high copies in rows [h, 2h); only the noise-and-mark source
+differs.  Both copies read one Brownian sheet over (time, level) and one
+Poisson random measure of marks (s, z, u), and each keeps what lies below
+its own level (Dawson & Li 2012): events fall at rate r * max(x_low, x_high)
+and a copy keeps a mark iff u < its X_p(s-), which is exact thinning; the
+sheet over [0, x] is a normal at the lower level, shared, plus an
+independent normal over the gap for the higher copy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,12 +85,11 @@ class SimOptions:
     step: float = 1e-3
     small_jump_eps: float = 1e-2
     small_jump_mode: str = "drop"  # or "gaussian"
-    du: float = 1e-3  # u-bin width for coupled diffusion
     jump_count_guard: float = 1e6  # expected events per path per step
 
     def __post_init__(self):
-        if self.step <= 0 or self.small_jump_eps <= 0 or self.du <= 0:
-            raise ValueError("step, small_jump_eps and du must be positive")
+        if self.step <= 0 or self.small_jump_eps <= 0:
+            raise ValueError("step and small_jump_eps must be positive")
         if self.small_jump_mode not in ("drop", "gaussian"):
             raise ValueError("small_jump_mode must be 'drop' or 'gaussian'")
 
@@ -122,9 +130,8 @@ class EnsembleStats:
 @dataclass
 class _Channel:
     p: int  # driving kernel / thinning coordinate
-    rates: np.ndarray  # per-interval event rate per unit mass of X_p
+    rates_dt: np.ndarray  # per-interval events per unit mass of X_p
     sample: object  # callable (rng, n) -> (n, 2) normalized draws
-    rates_dt: np.ndarray | None = None  # rates fused with the interval widths
 
 
 @dataclass
@@ -146,7 +153,6 @@ class _AtomRand:
 class _StepPlan:
     def __init__(self, env: EnvSpec, t0: float, t: float, opts: SimOptions,
                  checkpoints=(), zeta=None):
-        self.env = env
         self.opts = opts
         extra = []
         zeta_atoms = ()
@@ -169,10 +175,10 @@ class _StepPlan:
         left = self.mesh[:-1]
         self.dts = np.diff(self.mesh)
 
-        self.b_diag = (env.b[0][0].density(left), env.b[1][1].density(left))
-        self.b_feed = (env.b[1][0].density(left), env.b[0][1].density(left))
-        self.c = (env.c[0].density(left), env.c[1].density(left))
-        self.has_diffusion = (bool(np.any(self.c[0] > 0)), bool(np.any(self.c[1] > 0)))
+        b_diag = (env.b[0][0].density(left), env.b[1][1].density(left))
+        b_feed = (env.b[1][0].density(left), env.b[0][1].density(left))
+        c = (env.c[0].density(left), env.c[1].density(left))
+        self.has_diffusion = (bool(np.any(c[0] > 0)), bool(np.any(c[1] > 0)))
 
         comp = [np.zeros_like(left), np.zeros_like(left)]
         gvar = [np.zeros_like(left), np.zeros_like(left)]
@@ -186,7 +192,7 @@ class _StepPlan:
                     if cap is not None:
                         eps = min(eps, 0.5 * cap)
                     self.channels.append(_Channel(
-                        p, rate_vals * meas.tail_mass(eps),
+                        p, rate_vals * meas.tail_mass(eps) * self.dts,
                         (lambda m, e: (lambda rng, n: m.tail_sample(rng, n, e)))(meas, eps),
                     ))
                     comp[p] += rate_vals * meas.tail_mean(eps)
@@ -194,21 +200,16 @@ class _StepPlan:
                         gvar[p] += rate_vals * meas.small_var(eps)
                 else:
                     self.channels.append(_Channel(
-                        p, rate_vals * meas.mass(),
+                        p, rate_vals * meas.mass() * self.dts,
                         (lambda m: (lambda rng, n: m.sample(rng, n)))(meas),
                     ))
                     comp[p] += rate_vals * meas.mean(p)
-        self.comp = tuple(comp)
-        self.gvar = tuple(gvar)
 
         # fused per-interval coefficients for the euler step
-        self.lin_keep = tuple(1.0 - (self.b_diag[i] + self.comp[i]) * self.dts
-                              for i in range(2))
-        self.lin_feed = tuple(self.b_feed[i] * self.dts for i in range(2))
-        self.diff_coef = tuple(2.0 * self.c[i] * self.dts for i in range(2))
-        self.gvar_dt = tuple(self.gvar[i] * self.dts for i in range(2))
-        for ch in self.channels:
-            ch.rates_dt = ch.rates * self.dts
+        self.lin_keep = tuple(1.0 - (b_diag[i] + comp[i]) * self.dts for i in range(2))
+        self.lin_feed = tuple(b_feed[i] * self.dts for i in range(2))
+        self.diff_coef = tuple(2.0 * c[i] * self.dts for i in range(2))
+        self.gvar_dt = tuple(gvar[i] * self.dts for i in range(2))
 
         atom_times = set(env.atom_times(t0, t))
         self.atom_at = {k: _AtomRand.from_info(atom_info(env, s))
@@ -228,16 +229,14 @@ class _StepPlan:
             }
 
 
-def _event_paths(rng, r: float, x, guard: float = math.inf) -> np.ndarray:
+def _event_paths(rng, r: float, x: np.ndarray, guard: float = math.inf) -> np.ndarray:
     """Path index of every event when path i has Poisson(r * x[i]) events.
 
     Superposition: one Poisson(r * sum(x)) total, each event assigned to path
     i with probability x[i] / sum(x), so the per-path counts are exactly
-    independent Poisson.  A scalar x stands for x paths of unit weight.
-    Raises SimulationError when some r * x[i] exceeds guard.
+    independent Poisson.  Raises SimulationError when some r * x[i] exceeds
+    guard.
     """
-    if np.ndim(x) == 0:
-        return rng.integers(x, size=rng.poisson(r * x))
     cum = np.cumsum(x)
     mass = cum[-1] if cum.size else 0.0
     # x >= 0 makes cum[-1] >= max(x) after rounding, so the sum screens the max
@@ -260,63 +259,107 @@ def _add_marks(idx, Z, out0, out1):
     out1 += np.bincount(idx, weights=Z[:, 1], minlength=out1.size)
 
 
-def _noise_term(coef: float, x, rng, n: int):
+def _noise_term(coef: float, x, rng):
     g = x * coef
     np.sqrt(g, out=g)
-    g *= rng.standard_normal(n)
+    g *= rng.standard_normal(g.size)
     return g
 
 
-def _euler_step(plan: _StepPlan, k: int, X: np.ndarray, rng) -> np.ndarray:
-    n = X.shape[0]
+# -- noise and mark sources ---------------------------------------------------
+
+
+class _Independent:
+    """Every row is its own path, with private normals and Poisson events."""
+
+    @staticmethod
+    def noise(coef: float, x, rng):
+        return _noise_term(coef, x, rng)
+
+    @staticmethod
+    def jumps(rng, r: float, x, sample, guard: float, out0, out1):
+        idx = _event_paths(rng, r, x, guard)
+        if idx.size:
+            _add_marks(idx, sample(rng, idx.size), out0, out1)
+
+
+class _Coupled:
+    """Rows [0, h) and [h, 2h) are the low and high copies of h pairs that
+    share one Brownian sheet and one random measure of marks (module docstring)."""
+
+    def __init__(self, h: int):
+        self.h = h
+
+    def noise(self, coef: float, x, rng):
+        a, b = x[:self.h], x[self.h:]
+        gap = a - b
+        g = _noise_term(coef, np.minimum(a, b), rng)
+        e = _noise_term(coef, np.abs(gap), rng)
+        return np.concatenate([g + e * (gap > 0), g + e * (gap < 0)])
+
+    def jumps(self, rng, r: float, x, sample, guard: float, out0, out1):
+        h = self.h
+        top = np.maximum(x[:h], x[h:])
+        idx = _event_paths(rng, r, top, guard)
+        if idx.size:
+            # U * top < top for U < 1, and a zero copy never keeps a mark
+            u = rng.random(idx.size) * top[idx]
+            Z = sample(rng, idx.size)
+            for rows in (slice(0, h), slice(h, 2 * h)):
+                keep = u < x[rows][idx]
+                _add_marks(idx[keep], Z[keep], out0[rows], out1[rows])
+
+
+_INDEPENDENT = _Independent()
+
+
+def _euler_step(plan: _StepPlan, k: int, X: np.ndarray, rng, src) -> np.ndarray:
     x0, x1 = X[:, 0], X[:, 1]
     new0 = x0 * plan.lin_keep[0][k]
     new0 += x1 * plan.lin_feed[0][k]
     new1 = x1 * plan.lin_keep[1][k]
     new1 += x0 * plan.lin_feed[1][k]
     if plan.has_diffusion[0]:
-        new0 += _noise_term(plan.diff_coef[0][k], x0, rng, n)
+        new0 += src.noise(plan.diff_coef[0][k], x0, rng)
     if plan.has_diffusion[1]:
-        new1 += _noise_term(plan.diff_coef[1][k], x1, rng, n)
+        new1 += src.noise(plan.diff_coef[1][k], x1, rng)
     if plan.gvar_dt[0][k] > 0:
-        new0 += _noise_term(plan.gvar_dt[0][k], x0, rng, n)
+        new0 += src.noise(plan.gvar_dt[0][k], x0, rng)
     if plan.gvar_dt[1][k] > 0:
-        new1 += _noise_term(plan.gvar_dt[1][k], x1, rng, n)
+        new1 += src.noise(plan.gvar_dt[1][k], x1, rng)
     for ch in plan.channels:
         r = ch.rates_dt[k]
-        if r == 0.0:
-            continue
-        idx = _event_paths(rng, r, X[:, ch.p], plan.opts.jump_count_guard)
-        if idx.size:
-            _add_marks(idx, ch.sample(rng, idx.size), new0, new1)
+        if r != 0.0:
+            src.jumps(rng, r, X[:, ch.p], ch.sample, plan.opts.jump_count_guard, new0, new1)
     np.maximum(new0, 0.0, out=new0)
     np.maximum(new1, 0.0, out=new1)
     return np.column_stack([new0, new1])
 
 
-def _atom_apply(atom: _AtomRand, X: np.ndarray, rng) -> np.ndarray:
+def _atom_apply(atom: _AtomRand, X: np.ndarray, rng, src=_INDEPENDENT) -> np.ndarray:
     new0 = X[:, 0] * atom.keep[0] + X[:, 1] * atom.cross[0]
     new1 = X[:, 1] * atom.keep[1] + X[:, 0] * atom.cross[1]
     for p, mass, sampler in atom.jumps:
-        idx = _event_paths(rng, mass, X[:, p])
-        if idx.size:
-            _add_marks(idx, sampler(rng, idx.size), new0, new1)
+        src.jumps(rng, mass, X[:, p], sampler, math.inf, new0, new1)
     np.maximum(new0, 0.0, out=new0)
     np.maximum(new1, 0.0, out=new1)
     return np.column_stack([new0, new1])
 
 
-def _run(plan: _StepPlan, x0, n: int, rng, collectors=()):
-    X = np.tile(np.asarray(x0, dtype=float), (n, 1))
+def _tile(x0, n: int) -> np.ndarray:
+    return np.tile(np.asarray(x0, dtype=float), (n, 1))
+
+
+def _run(plan: _StepPlan, X: np.ndarray, rng, collectors=(), src=_INDEPENDENT):
     if np.any(X < 0):
         raise ValueError("x0 must be componentwise nonnegative")
     for c in collectors:
         c.begin(plan, X)
     for k in range(len(plan.mesh) - 1):
         X_prev = X
-        X_pre = _euler_step(plan, k, X_prev, rng)
+        X_pre = _euler_step(plan, k, X_prev, rng, src)
         atom = plan.atom_at.get(k + 1)
-        X = _atom_apply(atom, X_pre, rng) if atom is not None else X_pre
+        X = _atom_apply(atom, X_pre, rng, src) if atom is not None else X_pre
         for c in collectors:
             c.after_step(k + 1, X_prev, X_pre, X, plan.dts[k])
     return X
@@ -326,26 +369,30 @@ def _run(plan: _StepPlan, x0, n: int, rng, collectors=()):
 
 
 class _TrajectoryCollector:
+    """Records every row of the state, one trajectory per row."""
+
     def begin(self, plan, X):
         self.plan = plan
-        k = len(plan.mesh)
-        self.states = np.empty((k, 2))
-        self.left = np.empty((k, 2))
-        self.states[0] = X[0]
-        self.left[0] = X[0]
+        self.states = np.empty((X.shape[0], len(plan.mesh), 2))
+        self.left = np.empty_like(self.states)
+        self.states[:, 0] = X
+        self.left[:, 0] = X
 
     def after_step(self, k, X_prev, X_pre, X_post, dt):
-        self.states[k] = X_post[0]
-        self.left[k] = X_pre[0]
+        self.states[:, k] = X_post
+        self.left[:, k] = X_pre
 
-    def trajectory(self) -> Trajectory:
+    def trajectories(self) -> list[Trajectory]:
         mesh = self.plan.mesh
         is_atom = np.zeros(len(mesh), dtype=bool)
         for k in self.plan.atom_at:
             is_atom[k] = True
-        dead = np.flatnonzero((self.states == 0.0).all(axis=1))
-        absorbed = float(mesh[dead[0]]) if dead.size else None
-        return Trajectory(mesh.copy(), self.states, is_atom, self.left, absorbed)
+        out = []
+        for states, left in zip(self.states, self.left):
+            dead = np.flatnonzero((states == 0.0).all(axis=1))
+            absorbed = float(mesh[dead[0]]) if dead.size else None
+            out.append(Trajectory(mesh.copy(), states, is_atom, left, absorbed))
+        return out
 
 
 class _SnapshotCollector:
@@ -384,6 +431,23 @@ class _FunctionalCollector:
             self.A += X_post @ atom
 
 
+class _OrderCollector:
+    """Counts mesh points where a low copy exceeds its high copy anywhere."""
+
+    def __init__(self, h: int):
+        self.h = h
+        self.violations = 0
+        self.checks = 0
+
+    def begin(self, plan, X):
+        pass
+
+    def after_step(self, k, X_prev, X_pre, X_post, dt):
+        low, high = X_post[:self.h], X_post[self.h:]
+        self.violations += int(np.count_nonzero((low > high).any(axis=1)))
+        self.checks += self.h
+
+
 # -- public operations -------------------------------------------------------
 
 
@@ -391,10 +455,9 @@ def simulate_path(env: EnvSpec, x0, t: float, opts: SimOptions, noise: NoiseStre
                   path_id: int = 0, t0: float = 0.0) -> Trajectory:
     """Simulate one path on [t0, t], bit-reproducible in (seed, path_id)."""
     rng = noise.substream("path", path_id)
-    plan = _StepPlan(env, t0, t, opts)
     coll = _TrajectoryCollector()
-    _run(plan, x0, 1, rng, (coll,))
-    return coll.trajectory()
+    _run(_StepPlan(env, t0, t, opts), _tile(x0, 1), rng, (coll,))
+    return coll.trajectories()[0]
 
 
 def simulate_atom(env: EnvSpec, s: float, x_left, noise) -> np.ndarray:
@@ -418,7 +481,7 @@ def simulate_ensemble(env: EnvSpec, x0, t: float, checkpoints, lam_grid, n_paths
     rng = noise.substream("ensemble")
     plan = _StepPlan(env, t0, t, opts, checkpoints=checkpoints)
     snap = _SnapshotCollector(checkpoints)
-    _run(plan, x0, n_paths, rng, (snap,))
+    _run(plan, _tile(x0, n_paths), rng, (snap,))
 
     k = len(checkpoints)
     mean = np.empty((k, 2))
@@ -461,186 +524,51 @@ def extinction_frequency(env: EnvSpec, x0, t: float, n_paths: int, opts: SimOpti
 # -- coupled simulation -------------------------------------------------------
 
 
-def coupled_pair(env: EnvSpec, x0_low, x0_high, t: float, opts: SimOptions,
-                 noise: NoiseStream, pair_id: int = 0):
-    """Two coupled paths from ordered starts sharing jump marks and bin noise.
-
-    Jumps use thinning against a common dominating level (accept a mark
-    (s, z, u) iff u <= own X_p(s-)), which preserves the initial order
-    exactly when there is no diffusion.  Diffusion shares per-u-bin normals
-    of width ``du``; the partial bin reuses that bin's shared normal scaled
-    by the fractional width (exact marginals, and coalesced pairs stay
-    together), so order can be violated on a small fraction of steps,
-    shrinking as du decreases.
-    """
+def _pair_start(x0_low, x0_high, h: int) -> np.ndarray:
     x_low = np.asarray(x0_low, dtype=float)
     x_high = np.asarray(x0_high, dtype=float)
     if np.any(x_low > x_high):
         raise ValueError("need x0_low <= x0_high componentwise")
+    return np.vstack([_tile(x_low, h), _tile(x_high, h)])
+
+
+def coupled_pair(env: EnvSpec, x0_low, x0_high, t: float, opts: SimOptions,
+                 noise: NoiseStream, pair_id: int = 0):
+    """Two coupled paths from ordered starts, bit-reproducible in (seed, pair_id).
+
+    Each copy is a path of the process.  Both read one Brownian sheet and one
+    Poisson random measure of marks (s, z, u), and each keeps what lies below
+    its own level: jump marks with u < X_p(s-), and the sheet over [0, X_i]
+    for the diffusion and, in ``gaussian`` mode, the small-jump term.
+    Without diffusion or Gaussian small jumps the initial order is kept
+    exactly; otherwise the Euler step can cross the copies on a small
+    fraction of steps, shrinking with the step.  Equal starts give identical
+    paths.
+    """
     rng = noise.substream("coupled", pair_id)
-    plan = _StepPlan(env, 0.0, t, opts)
-    mesh = plan.mesh
-    n_pts = len(mesh)
-    out = [np.empty((n_pts, 2)), np.empty((n_pts, 2))]
-    left = [np.empty((n_pts, 2)), np.empty((n_pts, 2))]
-    states = [x_low.copy(), x_high.copy()]
-    out[0][0] = states[0]
-    out[1][0] = states[1]
-    left[0][0] = states[0]
-    left[1][0] = states[1]
-    u_max = 2.0 * max(1.0, float(states[1].max()))
-
-    for k in range(n_pts - 1):
-        top = max(float(states[0].max()), float(states[1].max()))
-        while u_max < top:
-            u_max *= 2.0
-            if u_max > 1e12:
-                raise SimulationError("domination-exceeded: state outgrew every retry level")
-        dt = mesh[k + 1] - mesh[k]
-        new = [s.copy() for s in states]
-        for q in range(2):
-            for i in range(2):
-                j = 1 - i
-                new[q][i] = (
-                    states[q][i] * (1.0 - (plan.b_diag[i][k] + plan.comp[i][k]) * dt)
-                    + states[q][j] * (plan.b_feed[i][k] * dt)
-                )
-        for i in range(2):
-            if plan.has_diffusion[i]:
-                du = opts.du
-                nb = int(math.ceil(u_max / du)) + 1
-                xi = rng.standard_normal(nb)
-                cum = np.concatenate(([0.0], np.cumsum(xi)))
-                scale = math.sqrt(2.0 * plan.c[i][k] * dt)
-                for q in range(2):
-                    f = int(states[q][i] // du)
-                    frac = states[q][i] - f * du
-                    g = cum[f] * math.sqrt(du) + xi[f] * math.sqrt(frac)
-                    new[q][i] += scale * g
-            if plan.gvar[i][k] > 0:
-                for q in range(2):
-                    new[q][i] += rng.standard_normal() * math.sqrt(
-                        plan.gvar[i][k] * dt * states[q][i]
-                    )
-        for ch in plan.channels:
-            r = ch.rates[k] * dt
-            if r == 0.0:
-                continue
-            n_cand = rng.poisson(u_max * r)
-            if n_cand:
-                u = rng.random(n_cand) * u_max
-                Z = ch.sample(rng, n_cand)
-                for q in range(2):
-                    acc = u <= states[q][ch.p]
-                    if acc.any():
-                        new[q] += Z[acc].sum(axis=0)
-        states = [np.maximum(v, 0.0) for v in new]
-        atom = plan.atom_at.get(k + 1)
-        left[0][k + 1] = states[0]
-        left[1][k + 1] = states[1]
-        if atom is not None:
-            pre = [s.copy() for s in states]
-            det = [np.empty(2), np.empty(2)]
-            for q in range(2):
-                for i in range(2):
-                    det[q][i] = pre[q][i] * atom.keep[i] + pre[q][1 - i] * atom.cross[i]
-            for p, mass, sampler in atom.jumps:
-                n_cand = rng.poisson(u_max * mass)
-                if n_cand:
-                    u = rng.random(n_cand) * u_max
-                    Z = sampler(rng, n_cand)
-                    for q in range(2):
-                        acc = u <= pre[q][p]
-                        if acc.any():
-                            det[q] += Z[acc].sum(axis=0)
-            states = [np.maximum(d, 0.0) for d in det]
-        out[0][k + 1] = states[0]
-        out[1][k + 1] = states[1]
-
-    is_atom = np.zeros(n_pts, dtype=bool)
-    for k in plan.atom_at:
-        is_atom[k] = True
-
-    def finish(values, lefts):
-        dead = np.flatnonzero((values == 0.0).all(axis=1))
-        absorbed = float(mesh[dead[0]]) if dead.size else None
-        return Trajectory(mesh.copy(), values, is_atom, lefts, absorbed)
-
-    return finish(out[0], left[0]), finish(out[1], left[1])
+    coll = _TrajectoryCollector()
+    _run(_StepPlan(env, 0.0, t, opts), _pair_start(x0_low, x0_high, 1), rng, (coll,),
+         _Coupled(1))
+    return tuple(coll.trajectories())
 
 
 def coupled_order_violations(env: EnvSpec, x0_low, x0_high, t: float, n_pairs: int,
                              opts: SimOptions, noise: NoiseStream):
-    """Vectorized coupled pairs for diffusion-free environments.
+    """Coupled pairs, as in :func:`coupled_pair`, for diffusion-free environments.
 
     Returns (violations, checks): the number of (pair, mesh point) events
     where the low path exceeds the high path in any coordinate, and the
-    number of comparisons made.  With shared thinning and no diffusion the
-    count is exactly zero.
+    number of comparisons made.  Power-tail small jumps are always dropped
+    (``small_jump_mode="drop"``), whatever ``opts`` says, so the thinning
+    coupling keeps the order exactly and the count is zero.
     """
     if any(not env.c[i].is_zero for i in range(2)):
         raise ValueError("pathwise coupling check requires a diffusion-free environment")
-    x_low = np.asarray(x0_low, dtype=float)
-    x_high = np.asarray(x0_high, dtype=float)
-    if np.any(x_low > x_high):
-        raise ValueError("need x0_low <= x0_high componentwise")
     rng = noise.substream("coupled-batch")
-    plan = _StepPlan(env, 0.0, t, opts)
-    mesh = plan.mesh
-    XL = np.tile(x_low, (n_pairs, 1))
-    XH = np.tile(x_high, (n_pairs, 1))
-    u_max = 2.0 * max(1.0, float(XH.max()))
-    violations = 0
-    checks = 0
-
-    def jump_round(dest, src, p, rate, sampler):
-        # equal candidate rate per pair; keep a candidate iff u <= X_p in src
-        idx = _event_paths(rng, rate, n_pairs)
-        u = rng.random(idx.size) * u_max
-        Z = sampler(rng, idx.size)
-        for X, pre in zip(dest, src):
-            acc = u <= pre[idx, p]
-            _add_marks(idx[acc], Z[acc], X[:, 0], X[:, 1])
-
-    for k in range(len(mesh) - 1):
-        top = max(float(XL.max()), float(XH.max()))
-        while u_max < top:
-            u_max *= 2.0
-            if u_max > 1e12:
-                raise SimulationError("domination-exceeded: state outgrew every retry level")
-        dt = mesh[k + 1] - mesh[k]
-        newL = np.empty_like(XL)
-        newH = np.empty_like(XH)
-        for i in range(2):
-            j = 1 - i
-            a = 1.0 - (plan.b_diag[i][k] + plan.comp[i][k]) * dt
-            b = plan.b_feed[i][k] * dt
-            newL[:, i] = XL[:, i] * a + XL[:, j] * b
-            newH[:, i] = XH[:, i] * a + XH[:, j] * b
-        XL, XH = newL, newH
-        for ch in plan.channels:
-            r = ch.rates[k] * dt
-            if r > 0.0:
-                jump_round((XL, XH), (XL, XH), ch.p, u_max * r, ch.sample)
-        np.maximum(XL, 0.0, out=XL)
-        np.maximum(XH, 0.0, out=XH)
-        atom = plan.atom_at.get(k + 1)
-        if atom is not None:
-            detL = np.empty_like(XL)
-            detH = np.empty_like(XH)
-            for i in range(2):
-                j = 1 - i
-                detL[:, i] = XL[:, i] * atom.keep[i] + XL[:, j] * atom.cross[i]
-                detH[:, i] = XH[:, i] * atom.keep[i] + XH[:, j] * atom.cross[i]
-            preL, preH = XL, XH
-            XL, XH = detL, detH
-            for p, mass, sampler in atom.jumps:
-                jump_round((XL, XH), (preL, preH), p, u_max * mass, sampler)
-            np.maximum(XL, 0.0, out=XL)
-            np.maximum(XH, 0.0, out=XH)
-        violations += int(np.count_nonzero((XL > XH).any(axis=1)))
-        checks += n_pairs
-    return violations, checks
+    plan = _StepPlan(env, 0.0, t, replace(opts, small_jump_mode="drop"))
+    order = _OrderCollector(n_pairs)
+    _run(plan, _pair_start(x0_low, x0_high, n_pairs), rng, (order,), _Coupled(n_pairs))
+    return order.violations, order.checks
 
 
 # -- truncation ---------------------------------------------------------------

@@ -5,7 +5,6 @@ from bibranch.densities import Density, SignedMeasure1D
 from bibranch.environment import (
     EnvSpec,
     JumpKernel,
-    K_integral,
     atom_schedule,
     bar_b,
     delta,
@@ -111,21 +110,22 @@ def test_bar_b_dominates_raw_cross(rng):
                 assert bb.atom_mass(t) >= m - 1e-12
 
 
+# the K-integral of one spatial component, integral of K_i(lam, z) nu(dz)
 def test_K_integral_zero_lambda():
     for meas in (Dirac((1.0, 2.0), 0.5), ExpProduct(2.0, 1.0, 1.0), StableAxis(0, 1.5, 1.0)):
-        assert K_integral(meas, 0, (0.0, 0.0)) == 0.0
+        assert meas.compensated_exponent(0, (0.0, 0.0)) == 0.0
 
 
 def test_K_integral_uncompensated_error():
     with pytest.raises(UncompensatedStableError):
-        K_integral(StableAxis(1, 1.5, 1.0), 0, (1.0, 1.0))
+        StableAxis(1, 1.5, 1.0).compensated_exponent(0, (1.0, 1.0))
 
 
 def test_K_integral_convex_on_own_axis():
     # one-dimensional compensated exponent: nonnegative, convex, increasing
     meas = Dirac((0.8, 0.0), 1.0)
     lams = np.linspace(0.0, 10.0, 21)
-    vals = [K_integral(meas, 0, (l, 0.0)) for l in lams]
+    vals = [meas.compensated_exponent(0, (l, 0.0)) for l in lams]
     assert all(v >= 0.0 for v in vals)
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
     second = np.diff(vals, 2)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,16 @@ from bibranch.environment import JumpKernel, validate
 from bibranch.measures import Dirac, ExpProduct, StableAxis
 from bibranch.moments import first_moment
 from bibranch.noise import NoiseStream
+from bibranch.verify import dirac_cross_env
 from bibranch.simulate import (
     SimOptions,
     SimulationError,
+    _Coupled,
+    _SnapshotCollector,
+    _StepPlan,
     _event_paths,
+    _pair_start,
+    _run,
     coupled_order_violations,
     coupled_pair,
     extinction_frequency,
@@ -165,6 +172,70 @@ def test_coupled_equal_starts_identical_jump_only():
     assert np.array_equal(lo.states, hi.states)
 
 
+def test_coupled_equal_starts_identical_with_diffusion():
+    # diffusion and Gaussian small jumps both read the shared sheet
+    env = make_env(b11=const(0.4), c1=const(0.5), c2=const(0.3),
+                   m1=JumpKernel(((Density.constant(0.5), StableAxis(0, 1.5, 0.15)),)))
+    opts = SimOptions(step=1e-2, small_jump_mode="gaussian")
+    lo, hi = coupled_pair(env, (1.0, 0.5), (1.0, 0.5), 1.0, opts, NoiseStream(13))
+    assert np.array_equal(lo.states, hi.states)
+    assert np.array_equal(lo.left_states, hi.left_states)
+    assert np.any(lo.states[1:] != lo.states[0])
+
+
+def _coupled_at(env, x_low, x_high, t, h, opts, seed):
+    """States of the low and high copies of h coupled pairs at time t."""
+    snap = _SnapshotCollector((t,))
+    _run(_StepPlan(env, 0.0, t, opts), _pair_start(x_low, x_high, h),
+         NoiseStream(seed).substream("coupled-batch"), (snap,), _Coupled(h))
+    return snap.snaps[t][:h], snap.snaps[t][h:]
+
+
+def test_coupled_copies_have_the_process_law():
+    # each copy of a coupled batch is a path of the process: its mean at
+    # t=1 matches the exact first moment
+    env = dirac_cross_env()
+    h = 20_000
+    starts = ((1.0, 0.5), (2.0, 1.0))
+    copies = _coupled_at(env, *starts, 1.0, h, SimOptions(step=1e-3), 53)
+    for X, x0 in zip(copies, starts):
+        exact = first_moment(env, x0, 1.0).at(1.0)
+        se = X.std(axis=0, ddof=1) / math.sqrt(h)
+        assert np.all(np.abs(X.mean(axis=0) - exact) < 4 * se)
+
+
+def test_coupled_sheet_noise_has_the_process_variance():
+    # driftless Feller: the Euler variance is 2 c t x0 exactly while the
+    # clamp never acts, so each copy must carry its full sheet noise
+    c, t, h = 0.5, 0.25, 20_000
+    copies = _coupled_at(feller_env(0.0, c), (1.0, 0.0), (2.0, 0.0), t, h,
+                         SimOptions(step=1e-2), 67)
+    for X, x0 in zip(copies, (1.0, 2.0)):
+        var = 2.0 * c * t * x0
+        assert abs(X[:, 0].var(ddof=1) - var) < 4 * var * math.sqrt(2.0 / h)
+
+
+def test_coupled_pairs_above_any_fixed_level():
+    # states far above 1e12 and growing: thinning uses each pair's own level
+    env = make_env(b11=const(-1.0), b12=const(0.1),
+                   m1=JumpKernel(((Density.constant(1e-12), Dirac((0.5, 0.2), 1.0)),)))
+    viol, checks = coupled_order_violations(env, (1e13, 0.0), (2e13, 0.0), 1.0, 50,
+                                            SimOptions(step=1e-2), NoiseStream(59))
+    assert (viol, checks) == (0, 50 * 100)
+
+
+def test_coupled_feller_pair_bounded_memory():
+    tracemalloc.start()
+    try:
+        lo, hi = coupled_pair(feller_env(), (1e6, 0.0), (2e6, 0.0), 0.1,
+                              SimOptions(step=1e-2), NoiseStream(61))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert np.all(lo.states >= 0.0) and np.all(hi.states[:, 0] > 1e6)
+
+
 def test_coupled_pair_jump_only_ordered_exactly():
     env = make_env(b11=const(0.4), b12=const(0.1),
                    m1=JumpKernel(((Density.constant(1.0), Dirac((0.5, 0.2), 1.0)),)),
@@ -191,10 +262,9 @@ def test_coupled_batch_requires_diffusion_free():
 
 
 def test_coupled_diffusive_violations_shrink_with_step():
-    # Empirical convergence study for the binned diffusion coupling: the
-    # order-violation rate is controlled by the time step (the bin width
-    # stops mattering once it is small); at step 5e-4 and du 1e-3 the rate
-    # is below 2% of mesh points for this pair.
+    # Empirical convergence study for the Brownian-sheet diffusion coupling:
+    # the order-violation rate is controlled by the time step; at step 5e-4
+    # it is below 2% of mesh points for this pair.
     env = feller_env(1.0, 0.5)
     rates = []
     for h, n_pairs in ((1e-2, 120), (5e-4, 30)):
@@ -202,7 +272,7 @@ def test_coupled_diffusive_violations_shrink_with_step():
         steps = 0
         for pid in range(n_pairs):
             lo, hi = coupled_pair(env, (1.0, 0.0), (2.0, 0.0), 1.0,
-                                  SimOptions(step=h, du=1e-3), NoiseStream(23),
+                                  SimOptions(step=h), NoiseStream(23),
                                   pair_id=pid)
             viol += int(np.sum((lo.states > hi.states).any(axis=1)))
             steps += len(lo.times)
@@ -302,6 +372,11 @@ def test_step_overflow_guard_threshold():
     simulate_ensemble(env, (8.0, 0.0), 0.25, (0.25,), (), 10, opts, NoiseStream(41))
     with pytest.raises(SimulationError, match="step-overflow"):
         simulate_path(env, (8.5, 0.0), 0.25, opts, NoiseStream(41))
+    # coupled pairs: the guard acts on each pair's level max(x_low, x_high)
+    coupled_order_violations(env, (0.0, 0.0), (8.0, 0.0), 0.25, 10, opts, NoiseStream(41))
+    with pytest.raises(SimulationError, match="step-overflow"):
+        coupled_order_violations(env, (0.0, 0.0), (8.5, 0.0), 0.25, 10, opts,
+                                 NoiseStream(41))
 
 
 def test_negative_start_rejected():
@@ -311,3 +386,8 @@ def test_negative_start_rejected():
         simulate_path(env, (-0.5, 1.0), 0.1, SimOptions(step=1e-2), NoiseStream(43))
     with pytest.raises(ValueError, match="nonnegative"):
         simulate_atom(env, 0.5, (1.0, -0.5), NoiseStream(43).substream("atom"))
+    with pytest.raises(ValueError, match="nonnegative"):
+        coupled_pair(env, (-0.5, 0.0), (1.0, 0.0), 0.1, SimOptions(step=1e-2), NoiseStream(43))
+    with pytest.raises(ValueError, match="nonnegative"):
+        coupled_order_violations(env, (-0.5, 0.0), (1.0, 0.0), 0.1, 10,
+                                 SimOptions(step=1e-2), NoiseStream(43))
