@@ -15,6 +15,17 @@ left limit follows the closed-form jump map (fully compensated exponent K):
 The same machinery solves the weight-shifted system for integral functionals
 (see :mod:`bibranch.functionals`), which adds an accumulation density and
 shifts the atom-map argument.
+
+Terminal values may be infinite: ``v_infinity`` is one such sweep started at
+lambda = (inf, inf).  On a smooth piece entered at infinity a component comes
+down to a finite value exactly when its equation has a super-linear term
+there (Grey's condition): diffusion c_i v_i^2 (beta = 2) or a power-tail jump
+component k v_i^alpha (beta = alpha).  It is then integrated in
+y = v^(1 - beta), where the blow-up is a regular ODE.  Without such a term,
+or when fed through a positive cross drift by a component that stays
+infinite, it stays infinite on the piece.  Atoms map infinite arguments
+through the cancellation-free form of the jump map with 0 * inf = 0, so a
+full bottleneck returns a finite value exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .densities import Density
 from .environment import EnvSpec, atom_info
+from .measures import _stable_const
 
 __all__ = [
     "SolverOptions",
@@ -47,7 +60,11 @@ class SolverError(RuntimeError):
 
 
 class LadderNotConverged(RuntimeError):
-    """The large-lambda ladder is neither clearly finite nor clearly divergent."""
+    """Raised by the former large-lambda ladder of ``v_infinity``.
+
+    Nothing raises it any more: ``v_infinity`` now solves for the limit
+    directly.  The name stays importable for code that still catches it.
+    """
 
 
 @dataclass(frozen=True)
@@ -152,6 +169,30 @@ def _atom_step_core(info, v_right):
     return out
 
 
+def _atom_step_limit(info, v):
+    """Left limit across one atom for an argument with infinite entries.
+
+    Cancellation-free form of the jump map, every term nonnegative:
+
+        v_left_i = v_i (1 - delta_i) + v_j db_ij + integral (1 - e^{-<v, z>}) m_i({s}, dz),
+
+    with 0 * inf = 0, so a full bottleneck (delta_i = 1, to the validation
+    tolerance) maps infinity to a finite value exactly.
+    """
+    def times(x, k):
+        return x * k if k else 0.0
+
+    out = np.empty(2)
+    for i in range(2):
+        j = 1 - i
+        keep = 1.0 - info.db[i][i] - sum(meas.mean(i) for meas in info.jumps[i])
+        if keep < -1e-12:
+            raise SolverError(f"negative-left-value at t={info.time:g}: delta_{i + 1} > 1")
+        out[i] = (times(v[i], keep if keep > 1e-12 else 0.0) + times(v[j], info.db[i][j])
+                  + sum(meas.laplace_gap(v) for meas in info.jumps[i]))
+    return out
+
+
 def atom_step(env: EnvSpec, s: float, v_right) -> np.ndarray:
     """Map the right value v_{s,t} to the left limit v_{s-,t} across atom s."""
     info = atom_info(env, s)
@@ -168,46 +209,165 @@ def atom_step(env: EnvSpec, s: float, v_right) -> np.ndarray:
 
 
 class _DenseSegment:
-    """Dense output of one smooth piece, remembering the solver's own mesh."""
+    """Dense output of one smooth piece, remembering the solver's own mesh.
 
-    __slots__ = ("sol", "ts")
+    ``to_v`` maps the solver's coordinates back to v where they differ.
+    """
 
-    def __init__(self, sol):
+    __slots__ = ("sol", "ts", "to_v")
+
+    def __init__(self, sol, to_v=None):
         self.sol = sol.sol
         self.ts = np.sort(sol.t)
+        self.to_v = to_v
 
     def __call__(self, r):
-        return self.sol(r)
+        y = self.sol(r)
+        return y if self.to_v is None else self.to_v(y)
+
+
+def _coefficients(densities):
+    """Map r to the list of density values; constant densities are read once."""
+    base = [float(d.values[0]) if d.knots.size == 1 else 0.0 for d in densities]
+    varying = [(k, d) for k, d in enumerate(densities) if d.knots.size > 1]
+    if not varying:
+        return lambda r: base
+
+    def at(r):
+        vals = base.copy()
+        for k, d in varying:
+            vals[k] = d(r)
+        return vals
+
+    return at
 
 
 def _make_rhs(env: EnvSpec, zeta=None):
-    b11 = env.b[0][0].density
-    b22 = env.b[1][1].density
-    b12 = env.b[0][1].density
-    b21 = env.b[1][0].density
-    c1 = env.c[0].density
-    c2 = env.c[1].density
-    comps = (tuple(env.m[0].density_components), tuple(env.m[1].density_components))
-    zd = None
+    jumps = [(i, meas) for i in range(2) for _, meas in env.m[i].density_components]
+    densities = [env.b[0][0].density, env.b[1][1].density, env.b[0][1].density,
+                 env.b[1][0].density, env.c[0].density, env.c[1].density]
+    densities += [rate for i in range(2) for rate, _ in env.m[i].density_components]
     if zeta is not None:
-        zd = (zeta.per_type[0].density, zeta.per_type[1].density)
+        densities += [zeta.per_type[0].density, zeta.per_type[1].density]
+    coef = _coefficients(densities)
 
     def rhs(r, v):
+        b11, b22, b12, b21, c1, c2, *rest = coef(r)
         v1 = v[0] if v[0] > 0.0 else 0.0
         v2 = v[1] if v[1] > 0.0 else 0.0
         vv = (v1, v2)
-        d1 = v1 * b11(r) - v2 * b12(r) + v1 * v1 * c1(r)
-        d2 = v2 * b22(r) - v1 * b21(r) + v2 * v2 * c2(r)
-        for rate, meas in comps[0]:
-            d1 += rate(r) * meas.compensated_exponent(0, vv)
-        for rate, meas in comps[1]:
-            d2 += rate(r) * meas.compensated_exponent(1, vv)
-        if zd is not None:
-            d1 -= zd[0](r)
-            d2 -= zd[1](r)
-        return (d1, d2)
+        d = [v1 * b11 - v2 * b12 + v1 * v1 * c1, v2 * b22 - v1 * b21 + v2 * v2 * c2]
+        for (i, meas), rate in zip(jumps, rest):
+            d[i] += rate * meas.compensated_exponent(i, vv)
+        if zeta is not None:
+            d[0] -= rest[-2]
+            d[1] -= rest[-1]
+        return d
 
     return rhs
+
+
+def _solve_piece(fun, r0, lo, y0, opts):
+    sol = solve_ivp(fun, (r0, lo), y0, method="RK45", rtol=opts.rel_tol,
+                    atol=opts.abs_tol, max_step=opts.max_step, dense_output=True)
+    if not sol.success:
+        raise SolverError(f"nonconvergent-step on [{lo:g}, {r0:g}]: {sol.message}")
+    return sol
+
+
+# finite stand-in for an infinite coordinate inside the right-hand side: its
+# square and its power-tail term (exponent below 2) stay finite
+_BIG = 1e150
+# blow-up components start this fraction of the piece below its right end
+_START_FRAC = 1e-8
+
+
+def _blow_up_order(env: EnvSpec, i: int, lo: float, hi: float):
+    """(beta, kappa) of the fastest super-linear term of type i on [lo, hi], or None.
+
+    Diffusion gives c_i v_i^2 (beta = 2, kappa = c_i); a power-tail jump
+    component of index alpha gives k v_i^alpha with
+    k = rate * weight * Gamma(2 - alpha) / (alpha (alpha - 1)) (beta = alpha).
+    Densities are linear on a piece, so positivity at an end is positivity
+    on its interior.
+    """
+    c = env.c[i].density
+    if max(c(lo), c(hi)) > 0.0:
+        return 2.0, c
+    tails = [(meas.alpha, rate.scaled(meas.weight * _stable_const(meas.alpha)))
+             for rate, meas in env.m[i].density_components
+             if meas.infinite_activity and max(rate(lo), rate(hi)) > 0.0]
+    if not tails:
+        return None
+    beta = max(a for a, _ in tails)
+    kappa = Density.zero()
+    for a, k in tails:
+        if a == beta:
+            kappa = kappa + k
+    return beta, kappa
+
+
+def _piece_from_infinity(env, rhs, lo, hi, v, opts, neg_tol):
+    """Integrate one smooth piece entered with infinite components.
+
+    A component is hot when it is infinite at hi, or fed there through a
+    positive cross drift by one that is (a blow-up feeds a non-integrable
+    rate).  A hot component with a super-linear term comes down on the piece
+    and is integrated in y = v^(1 - beta) from y(hi - h) = (beta - 1) times
+    the integral of kappa over [hi - h, hi], the leading-order asymptote; the
+    flow contracts the start error.  One without, or one fed through a
+    positive cross drift by a component that stays infinite, stays infinite.
+    Returns the segment and the value at lo.
+    """
+    def fed(i, group, ends=(lo, hi)):
+        return 1 - i in group and max(env.b[i][1 - i].density(r) for r in ends) > 0.0
+
+    hot = {i for i in range(2) if math.isinf(v[i])}
+    hot |= {i for i in range(2) if fed(i, hot, (hi,))}
+    order = [_blow_up_order(env, i, lo, hi) for i in range(2)]
+    stuck = {i for i in hot if order[i] is None}
+    stuck |= {i for i in range(2) if fed(i, stuck)}
+    blow = hot - stuck
+    for i in set(range(2)) - hot - stuck:
+        if fed(i, blow):
+            raise SolverError(
+                f"unresolved-blow-up on [{lo:g}, {hi:g}]: type {i + 1} is fed by a "
+                "blow-up through a cross drift that vanishes where it starts")
+    if len(stuck) == 2:
+        return (lo, hi, None, v.copy(), v.copy()), v.copy()
+
+    beta = [order[i][0] if i in blow else 1.0 for i in range(2)]
+    power = [1.0 / (beta[i] - 1.0) if i in blow else 0.0 for i in range(2)]
+    floor = [_BIG ** (1.0 - beta[i]) for i in range(2)]  # y below it means v above _BIG
+    r0 = hi - _START_FRAC * (hi - lo) if blow else hi
+    y0 = np.array([0.0 if i in stuck
+                   else (beta[i] - 1.0) * order[i][1].integral(r0, hi) if i in blow
+                   else v[i] for i in range(2)])
+
+    def fun(r, y):
+        w = [_BIG if i in stuck else (y[i] ** -power[i] if y[i] > floor[i] else _BIG)
+             if i in blow else y[i] for i in range(2)]
+        d = rhs(r, w)
+        return [0.0 if i in stuck else (1.0 - beta[i]) * w[i] ** -beta[i] * d[i]
+                if i in blow else d[i] for i in range(2)]
+
+    def to_v(y):
+        out = np.array(y, dtype=float)
+        for i in stuck:
+            out[i] = math.inf
+        for i in blow:
+            yi = np.maximum(out[i], floor[i])
+            out[i] = np.where(yi > floor[i], yi ** -power[i], math.inf)
+        return out
+
+    sol = _solve_piece(fun, r0, lo, y0, opts)
+    v_new = to_v(sol.y[:, -1])
+    if any(math.isinf(v_new[i]) for i in blow):
+        raise SolverError(f"unresolved-blow-up on [{lo:g}, {hi:g}]: {v_new}")
+    if np.any(v_new < -neg_tol):
+        raise SolverError(f"negative-value at r={lo:g}: {v_new} (check tolerances or environment)")
+    v_new = np.maximum(v_new, 0.0)
+    return (lo, hi, _DenseSegment(sol, to_v), v_new, v.copy()), v_new
 
 
 def _integrate_backward(env, t, lam, opts, zeta=None, r_end=0.0):
@@ -240,13 +400,19 @@ def _integrate_backward(env, t, lam, opts, zeta=None, r_end=0.0):
     v = lam.copy()
     segments = []
     atom_values = {}
-    neg_tol = max(100.0 * opts.abs_tol, 1e-10) * (1.0 + float(np.max(lam)))
+    neg_tol = max(100.0 * opts.abs_tol, 1e-10) * (
+        1.0 + float(np.max(lam, where=np.isfinite(lam), initial=0.0)))
 
     def apply_atom(s, v_right):
         vr = np.maximum(v_right, 0.0)
         shifted = vr + zeta.atom_vector(s) if zeta is not None else vr
         info = atom_info(env, s)
-        v_left = _atom_step_core(info, shifted) if info is not None else shifted
+        if info is None:
+            v_left = shifted
+        elif np.all(np.isfinite(shifted)):
+            v_left = _atom_step_core(info, shifted)
+        else:
+            v_left = _atom_step_limit(info, shifted)
         if np.any(v_left < -neg_tol):
             raise SolverError(f"negative-left-value at t={s:g}: {v_left}")
         v_left = np.maximum(v_left, 0.0)
@@ -263,19 +429,11 @@ def _integrate_backward(env, t, lam, opts, zeta=None, r_end=0.0):
             # absorbing terminal state of the backward flow
             segments.append((lo, hi, None, np.zeros(2), np.zeros(2)))
             v = np.zeros(2)
+        elif not np.all(np.isfinite(v)):
+            segment, v = _piece_from_infinity(env, rhs, lo, hi, v, opts, neg_tol)
+            segments.append(segment)
         else:
-            sol = solve_ivp(
-                rhs,
-                (hi, lo),
-                v,
-                method="RK45",
-                rtol=opts.rel_tol,
-                atol=opts.abs_tol,
-                max_step=opts.max_step,
-                dense_output=True,
-            )
-            if not sol.success:
-                raise SolverError(f"nonconvergent-step on [{lo:g}, {hi:g}]: {sol.message}")
+            sol = _solve_piece(rhs, hi, lo, v, opts)
             v_new = sol.y[:, -1]
             if np.any(v_new < -neg_tol):
                 raise SolverError(
@@ -290,7 +448,10 @@ def _integrate_backward(env, t, lam, opts, zeta=None, r_end=0.0):
 
 
 def solve_backward(env: EnvSpec, t: float, lam, opts: SolverOptions | None = None) -> CumulantSolution:
-    """Solve the backward cumulant system on [0, t] with terminal value lam."""
+    """Solve the backward cumulant system on [0, t] with terminal value lam.
+
+    Entries of lam may be ``inf``; see :func:`v_infinity`.
+    """
     return _integrate_backward(env, t, lam, opts, zeta=None, r_end=0.0)
 
 
@@ -315,63 +476,26 @@ def semigroup_check(env: EnvSpec, r: float, s: float, t: float, lam,
     return np.abs(outer.at(r) - inner.at(r))
 
 
-def v_infinity(env: EnvSpec, t: float, ladder=None, opts: SolverOptions | None = None,
-               conv_tol: float = 1e-6, div_threshold: float = 1e7):
-    """Estimate v_{0,t}(infinity) along a geometric lambda ladder.
+def v_infinity(env: EnvSpec, t: float, opts: SolverOptions | None = None):
+    """v_{0,t}(infinity): one backward sweep started at lambda = (inf, inf).
 
-    Returns ``(limit, diagnostic)`` where limit holds ``inf`` for divergent
-    components and diagnostic maps each component to ``converged``,
-    ``diverged`` or ``slow`` plus the ladder trace.
+    Returns ``(limit, diagnostic)``.  ``limit`` holds ``inf`` for components
+    that stay infinite; ``diagnostic["status"]`` marks each component
+    ``converged`` (finite limit) or ``diverged``.  ``diagnostic["ladder"]``
+    and ``diagnostic["values"]`` are empty: they held the trace of the
+    large-lambda ladder this sweep replaced.  Raises :class:`SolverError` on
+    structure the sweep cannot resolve, never an undecided value.
     """
-    if ladder is None:
-        ladder = [2.0 ** k for k in range(28)]
-    ladder = [float(x) for x in ladder]
-    if any(b <= a for a, b in zip(ladder, ladder[1:])) or not ladder:
-        raise ValueError("ladder must be strictly increasing and nonempty")
-
-    values = []
-    status = ["slow", "slow"]
-    prev = None
-    for mult in ladder:
-        sol = _integrate_backward(env, t, (mult, mult), opts, r_end=0.0)
-        v0 = sol.at(0.0)
-        if prev is not None:
-            slack = 1e-7 * (1.0 + float(np.max(np.abs(v0))))
-            if np.any(v0 < prev - slack):
-                raise AssertionError(
-                    f"ladder monotonicity violated: {v0} < {prev} at lambda={mult:g}"
-                )
-        values.append(v0)
-        for i in range(2):
-            if status[i] != "slow":
-                continue
-            if v0[i] > div_threshold:
-                status[i] = "diverged"
-            elif prev is not None and abs(v0[i] - prev[i]) < conv_tol * (1.0 + abs(v0[i])):
-                status[i] = "converged"
-        prev = v0
-        if "slow" not in status:
-            break
-
-    limit = np.array([
-        math.inf if status[i] == "diverged" else float(values[-1][i]) for i in range(2)
-    ])
-    diagnostic = {
-        "status": tuple(status),
-        "ladder": ladder[: len(values)],
-        "values": np.array(values),
-    }
-    return limit, diagnostic
+    limit = _integrate_backward(env, t, (math.inf, math.inf), opts, r_end=0.0).at(0.0)
+    status = tuple("diverged" if math.isinf(x) else "converged" for x in limit)
+    return limit, {"status": status, "ladder": [], "values": np.empty((0, 2))}
 
 
-def extinction_prob(env: EnvSpec, x, t: float, opts: SolverOptions | None = None,
-                    ladder=None) -> float:
-    """P(extinct by t) = exp(-<x, v_{0,t}(infinity)>) from the ladder limit."""
+def extinction_prob(env: EnvSpec, x, t: float, opts: SolverOptions | None = None) -> float:
+    """P(extinct by t) = exp(-<x, v_{0,t}(infinity)>), 0 when a needed limit is infinite."""
     x = np.asarray(x, dtype=float)
-    limit, diag = v_infinity(env, t, ladder=ladder, opts=opts)
+    limit, _ = v_infinity(env, t, opts)
     needed = [i for i in range(2) if x[i] > 0]
-    if any(diag["status"][i] == "slow" for i in needed):
-        raise LadderNotConverged(f"ladder-not-converged: {diag['status']}")
     if any(math.isinf(limit[i]) for i in needed):
         return 0.0
     return float(np.exp(-sum(x[i] * limit[i] for i in needed)))

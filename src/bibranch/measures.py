@@ -6,7 +6,10 @@ first moments, the one-coordinate-compensated exponent integral
     integral of (exp(-<lam, z>) - 1 + lam_i * z_i) nu(dz),
 
 the fully compensated variant (both coordinates), large-jump excess moments
-used by truncation, and how to sample itself.  Components with a power tail
+used by truncation, and how to sample itself.  Finite-mass components also
+give the Laplace gap, integral of (1 - exp(-<lam, z>)) nu(dz) (total mass
+minus the Laplace transform), which stays finite at infinite lam and serves
+the atom map there.  Components with a power tail
 (``StableAxis``) additionally expose the split at a small-jump threshold used
 by the simulator.
 """
@@ -74,6 +77,11 @@ class Dirac:
         dot = l1 * self.z[0] + l2 * self.z[1]
         return self.weight * (math.exp(-dot) - 1.0 + dot)
 
+    def laplace_gap(self, lam) -> float:
+        """integral of (1 - exp(-<lam, z>)) nu(dz); lam may hold inf, with 0 * inf = 0."""
+        dot = sum(float(l) * z for l, z in zip(lam, self.z) if z > 0.0)
+        return -self.weight * math.expm1(-dot)
+
     def sample(self, rng, n: int) -> np.ndarray:
         return np.tile(self.z, (n, 1))
 
@@ -118,6 +126,10 @@ class ExpProduct:
     def full_exponent(self, lam) -> float:
         l1, l2 = _as_pair(lam)
         return self.weight * (self._laplace(l1, l2) - 1.0 + l1 / self.theta1 + l2 / self.theta2)
+
+    def laplace_gap(self, lam) -> float:
+        """integral of (1 - exp(-<lam, z>)) nu(dz); lam may hold inf."""
+        return self.weight * (1.0 - self._laplace(*_as_pair(lam)))
 
     def sample(self, rng, n: int) -> np.ndarray:
         return np.column_stack(
@@ -289,6 +301,11 @@ class CappedExpProduct:
         l1, l2 = _as_pair(lam)
         prod = self._l1(l1, self.theta1) * self._l1(l2, self.theta2)
         return self.weight * (prod - 1.0 + l1 * self._m1(self.theta1) + l2 * self._m1(self.theta2))
+
+    def laplace_gap(self, lam) -> float:
+        """integral of (1 - exp(-<lam, z>)) nu(dz); lam may hold inf."""
+        l1, l2 = _as_pair(lam)
+        return self.weight * (1.0 - self._l1(l1, self.theta1) * self._l1(l2, self.theta2))
 
     def sample(self, rng, n: int) -> np.ndarray:
         z = np.column_stack(

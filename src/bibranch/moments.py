@@ -21,7 +21,7 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .cumulant import SolverError, SolverOptions, DEFAULT_OPTIONS, _DenseSegment
+from .cumulant import SolverError, SolverOptions, DEFAULT_OPTIONS, _DenseSegment, _coefficients
 from .environment import EnvSpec, atom_info, bar_b
 
 __all__ = ["MomentCurve", "first_moment", "moment_bound"]
@@ -90,15 +90,15 @@ def first_moment(env: EnvSpec, x0, t: float, opts: SolverOptions | None = None) 
     if not (0.0 < t <= env.horizon + 1e-12):
         raise ValueError("need 0 < t <= horizon")
 
-    b11 = env.b[0][0].density
-    b22 = env.b[1][1].density
-    bar21 = bar_b(env, 1, 0).density  # feeds type 1 from type 2
-    bar12 = bar_b(env, 0, 1).density  # feeds type 2 from type 1
+    # bar21 feeds type 1 from type 2, bar12 type 2 from type 1
+    coef = _coefficients([env.b[0][0].density, env.b[1][1].density,
+                          bar_b(env, 1, 0).density, bar_b(env, 0, 1).density])
 
     def rhs(s, m):
+        b11, b22, bar21, bar12 = coef(s)
         return (
-            -m[0] * b11(s) + m[1] * bar21(s),
-            -m[1] * b22(s) + m[0] * bar12(s),
+            -m[0] * b11 + m[1] * bar21,
+            -m[1] * b22 + m[0] * bar12,
         )
 
     atom_ts = env.atom_times(0.0, t)

@@ -146,7 +146,9 @@ def test_criterion_7_extinction(reports):
     bias = _check(reports, "feller-embed", "extinction-bias-monotone")
     assert bias["pass"], \
         f"bias did not shrink under step refinement ({bias['statistic']:.2f})"
-    _passline(7, "extinction law: bottleneck exact, feller gated, bias monotone")
+    stable = _check(reports, "stable-jump", "extinction")
+    assert stable["pass"], f"stable-jump extinction ratio {stable['statistic']:.2f}"
+    _passline(7, "extinction law: bottleneck exact, feller and stable gated, bias monotone")
 
 
 def test_criterion_8_functionals(reports):

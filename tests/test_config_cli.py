@@ -185,6 +185,11 @@ def test_cli_functional(cfg_file, tmp_path, capsys):
 
 def test_cli_extinction(cfg_file, capsys):
     assert main(["extinction", str(cfg_file), "--x0", "1,0"]) == 0
+    capsys.readouterr()
+    stable = Path(__file__).resolve().parents[1] / "configs" / "stable_jump.json"
+    assert main(["extinction", str(stable), "--x0", "1,0"]) == 0
+    p = float(capsys.readouterr().out.strip().splitlines()[-1])
+    assert 0.0 <= p <= 1.0
 
 
 def test_cli_dump_config_round_trip(cfg_file, tmp_path):

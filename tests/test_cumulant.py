@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bibranch.cumulant import (
-    LadderNotConverged,
     SolverError,
     SolverOptions,
     atom_step,
@@ -15,8 +14,10 @@ from bibranch.cumulant import (
     v_infinity,
 )
 from bibranch.densities import Density
+from bibranch.densities import SignedMeasure1D
 from bibranch.environment import JumpKernel
-from bibranch.measures import Dirac
+from bibranch.measures import Dirac, StableAxis
+from bibranch.verify import stable_jump_env, suite
 
 from conftest import atoms_only, const, feller_env, make_env, random_env
 
@@ -167,19 +168,40 @@ def test_decoupled_types_solve_independently():
         assert vb.at(r)[1] == pytest.approx(v2.at(r)[1], rel=1e-8, abs=1e-10)
 
 
+def feller_v_infinity(b, c, t):
+    return b / (c * math.expm1(b * t))
+
+
+def stable_v_infinity(b, rate, weight, alpha, t):
+    k = rate * weight * math.gamma(2.0 - alpha) / (alpha * (alpha - 1.0))
+    return (k * math.expm1((alpha - 1.0) * b * t) / b) ** (-1.0 / (alpha - 1.0))
+
+
+def ladder(env, t, rungs=30):
+    """Reference for v_infinity: solve_backward at lambda = 2^k (1, 1), k < rungs."""
+    return np.array([solve_backward(env, t, (2.0 ** k, 2.0 ** k)).at(0.0)
+                     for k in range(rungs)])
+
+
+def cross_fed_env():
+    return make_env(b11=const(0.5), b22=const(-0.3), b12=const(0.6),
+                    c1=const(0.4), c2=const(0.3))
+
+
 def test_v_infinity_zero_env_diverges():
     limit, diag = v_infinity(make_env(), 1.0)
     assert diag["status"] == ("diverged", "diverged")
     assert np.all(np.isinf(limit))
+    assert diag["ladder"] == [] and diag["values"].size == 0
 
 
 def test_v_infinity_feller_limit():
-    b, c, t = 1.0, 0.5, 1.0
-    limit, diag = v_infinity(feller_env(b, c), t)
-    assert diag["status"][0] == "converged"
-    expected = b * math.exp(-b * t) / (c * (1.0 - math.exp(-b * t)))
-    assert limit[0] == pytest.approx(expected, rel=1e-5)
-    assert diag["status"][1] == "diverged"  # inert type keeps v = lambda
+    b, c = 1.0, 0.5
+    for t in (0.3, 1.0):
+        limit, diag = v_infinity(feller_env(b, c), t)
+        assert diag["status"] == ("converged", "diverged")  # inert type keeps v = lambda
+        assert limit[0] == pytest.approx(feller_v_infinity(b, c, t), rel=1e-9)
+        assert math.isinf(limit[1])
 
 
 def test_v_infinity_bottleneck_component_annihilated():
@@ -189,21 +211,131 @@ def test_v_infinity_bottleneck_component_annihilated():
     assert limit[0] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_v_infinity_feller_full_bottleneck_is_exactly_zero():
+    b, c = 1.0, 0.5
+    for s in (0.5, 1.0):  # at s = t the atom maps infinity itself
+        env = make_env(b11=const(b) + atoms_only((s, 1.0)), c1=const(c))
+        limit, diag = v_infinity(env, 1.0)
+        assert limit[0] == 0.0 and diag["status"][0] == "converged"
+        assert extinction_prob(env, (2.0, 0.0), 1.0) == 1.0
+
+
+def test_v_infinity_full_jump_atom_closed_form():
+    # a jump atom Dirac(z = (1, 0), weight 1) has delta = 1 and maps v to 1 - e^{-v}
+    b, c = 1.0, 0.5
+    for s in (0.5, 1.0):
+        env = make_env(b11=const(b), c1=const(c),
+                       m1=JumpKernel((), ((s, Dirac((1.0, 0.0), 1.0)),)))
+        v_left = 1.0 if s == 1.0 else -math.expm1(-feller_v_infinity(b, c, 1.0 - s))
+        limit, _ = v_infinity(env, 1.0)
+        assert limit[0] == pytest.approx(feller_closed_form(b, c, v_left, s), rel=1e-9)
+
+
+def test_v_infinity_drift_free_diffusion_vanishing_at_t():
+    # dv/dr = c(r) v^2 gives v_{0,t}(inf) = 1 / integral_0^t c
+    c = Density.piecewise_linear([(0.0, 0.8), (0.4, 1.2), (1.0, 0.0)])
+    env = make_env(c1=SignedMeasure1D(c, ()))
+    for t in (1.0, 0.7):
+        limit, diag = v_infinity(env, t)
+        assert diag["status"][0] == "converged"
+        assert limit[0] == pytest.approx(1.0 / c.integral(0.0, t), rel=1e-9)
+
+
 def test_extinction_prob_values():
     assert extinction_prob(make_env(), (1.0, 0.0), 1.0) == 0.0
     b, c, t = 1.0, 0.5, 1.0
-    expected = math.exp(-b * math.exp(-b * t) / (c * (1.0 - math.exp(-b * t))))
-    assert extinction_prob(feller_env(b, c), (1.0, 0.0), t) == pytest.approx(expected, rel=1e-5)
+    expected = math.exp(-2.0 * feller_v_infinity(b, c, t))
+    assert extinction_prob(feller_env(b, c), (2.0, 0.0), t) == pytest.approx(expected, rel=1e-9)
     # already-extinct start
     assert extinction_prob(feller_env(), (0.0, 0.0), 1.0) == 1.0
 
 
-def test_extinction_prob_slow_ladder_raises():
-    from bibranch.measures import StableAxis
-    env = make_env(b11=const(0.5),
-                   m1=JumpKernel(((Density.constant(0.5), StableAxis(0, 1.5, 0.15)),)))
-    with pytest.raises(LadderNotConverged):
-        extinction_prob(env, (1.0, 0.0), 1.0)
+def test_extinction_prob_stable_closed_form():
+    b, rate, weight, alpha = 0.5, 0.5, 0.15, 1.5
+    env = make_env(b11=const(b),
+                   m1=JumpKernel(((Density.constant(rate), StableAxis(0, alpha, weight)),)))
+    limit, diag = v_infinity(env, 1.0)
+    exact = stable_v_infinity(b, rate, weight, alpha, 1.0)
+    assert diag["status"] == ("converged", "diverged")
+    assert limit[0] == pytest.approx(exact, rel=1e-9)
+    assert extinction_prob(env, (0.01, 0.0), 1.0) == pytest.approx(
+        math.exp(-0.01 * exact), rel=1e-9)
+    # the suite's stable-jump environment is this one
+    assert v_infinity(stable_jump_env(), 1.0)[0][0] == pytest.approx(exact, rel=1e-9)
+
+
+def test_v_infinity_decoupled_types_match_one_type_models():
+    k1 = JumpKernel(((Density.constant(0.5), Dirac((0.4, 0.0), 1.0)),))
+    k2 = JumpKernel(((Density.constant(0.4), Dirac((0.0, 0.3), 1.0)),))
+    both = make_env(b11=const(0.6), c1=const(0.3), b22=const(-0.2), c2=const(0.2),
+                    m1=k1, m2=k2)
+    only1 = make_env(b11=const(0.6), c1=const(0.3), m1=k1)
+    only2 = make_env(b22=const(-0.2), c2=const(0.2), m2=k2)
+    vb, diag = v_infinity(both, 1.0)
+    assert diag["status"] == ("converged", "converged")
+    assert vb[0] == pytest.approx(v_infinity(only1, 1.0)[0][0], rel=1e-9)
+    assert vb[1] == pytest.approx(v_infinity(only2, 1.0)[0][1], rel=1e-9)
+    assert extinction_prob(both, (1.0, 2.0), 1.0) == pytest.approx(
+        extinction_prob(only1, (1.0, 0.0), 1.0) * extinction_prob(only2, (0.0, 2.0), 1.0),
+        rel=1e-9)
+
+
+def test_v_infinity_bounds_the_ladder():
+    envs = {repr(sc.env): (sc.name, sc.env) for sc in suite()}  # distinct environments
+    for name, env in [*envs.values(), ("cross-fed", cross_fed_env())]:
+        limit, diag = v_infinity(env, 1.0)
+        rungs = ladder(env, 1.0)
+        assert np.all(np.diff(rungs, axis=0) >= -1e-9 * (1.0 + rungs[1:])), name
+        assert np.all(rungs <= limit * (1.0 + 1e-9)), name
+        for i in range(2):
+            assert diag["status"][i] == ("diverged" if math.isinf(limit[i]) else "converged")
+            if diag["status"][i] == "diverged":
+                assert rungs[-1, i] > 1e7, name
+
+
+def test_v_infinity_cross_fed_pair_matches_extrapolated_ladder():
+    # both types blow up at t and type 1 is fed by type 2; the ladder error
+    # of a diffusive limit is O(1/lambda), so one Richardson step removes it
+    env = cross_fed_env()
+    limit, diag = v_infinity(env, 1.0)
+    assert diag["status"] == ("converged", "converged")
+    lo = solve_backward(env, 1.0, (2.0 ** 24, 2.0 ** 24)).at(0.0)
+    hi = solve_backward(env, 1.0, (2.0 ** 25, 2.0 ** 25)).at(0.0)
+    assert np.max(np.abs(2.0 * hi - lo - limit) / limit) < 1e-9
+
+
+def test_v_infinity_refed_bottleneck_matches_log_ladder():
+    # a terminal bottleneck zeroes type 2, but type 1 refeeds it at the
+    # non-integrable rate b21 v_1 ~ b21 / (c1 (t - r)), so type 2 is infinite
+    # just below t and the bottleneck leaves the limit unchanged; the ladder
+    # gets there only like 1 / log(lambda)
+    kw = dict(b11=const(0.5), c1=const(0.4), c2=const(0.3), b21=const(0.5))
+    env = make_env(b22=atoms_only((1.0, 1.0)), **kw)
+    limit, diag = v_infinity(env, 1.0)
+    assert diag["status"] == ("converged", "converged")
+    assert limit == pytest.approx(v_infinity(make_env(**kw), 1.0)[0], rel=1e-12)
+    gap = [(limit[1] - solve_backward(env, 1.0, (2.0 ** k, 2.0 ** k)).at(0.0)[1]) * k
+           for k in (20, 29)]
+    assert gap[1] == pytest.approx(gap[0], rel=1e-3)
+
+
+def test_v_infinity_fed_by_infinite_partner_diverges():
+    # type 1 has diffusion, but type 2 has no super-linear term and feeds it
+    env = make_env(b11=const(0.5), c1=const(0.4), b12=const(0.6), b22=const(0.2))
+    limit, diag = v_infinity(env, 1.0)
+    assert diag["status"] == ("diverged", "diverged")
+    assert extinction_prob(env, (1.0, 0.0), 1.0) == 0.0
+    rungs = ladder(env, 1.0)
+    assert rungs[-1, 0] > 3.0 * rungs[-5, 0]  # grows like sqrt(lambda), unbounded
+
+
+def test_v_infinity_unresolved_feed_raises():
+    # type 1 is finite at t but fed by a blow-up through a cross drift that
+    # vanishes at t: the sweep does not guess
+    env = make_env(c2=const(0.5), b12=SignedMeasure1D(
+        Density.piecewise_linear([(0.0, 1.0), (1.0, 0.0)]), ()))
+    with pytest.raises(SolverError):
+        solve_backward(env, 1.0, (1.0, math.inf))
 
 
 def test_solution_grid_contains_atoms_both_sided():

@@ -215,3 +215,17 @@ def test_truncation_composes():
     assert m.cap == 1.0
     s = StableAxis(0, 1.5, 0.5).truncated(2.0)
     assert s.truncated(5.0).cap == 2.0
+
+
+def test_laplace_gap_is_mass_minus_laplace_transform():
+    # gap = <lam, mean> - full exponent on finite lam; the full mass at
+    # infinite lam, with a zero coordinate of z ignoring an infinite lam
+    for meas in (Dirac((0.7, 0.0), 0.8), ExpProduct(1.5, 2.5, 0.6),
+                 CappedExpProduct(1.5, 2.5, 0.4, 0.6)):
+        for lam in LAM_GRID:
+            expected = lam[0] * meas.mean(0) + lam[1] * meas.mean(1) - meas.full_exponent(lam)
+            mixed_close(meas.laplace_gap(lam), expected)
+        assert meas.laplace_gap((math.inf, math.inf)) == meas.mass()
+        assert meas.laplace_gap((math.inf, 0.0)) == meas.mass()
+    d = Dirac((0.7, 0.0), 0.8)
+    assert d.laplace_gap((0.5, math.inf)) == pytest.approx(0.8 * -math.expm1(-0.35), rel=1e-15)
