@@ -12,15 +12,14 @@ from .environment import (
     EnvSpec,
     JumpKernel,
     ValidationReport,
-    atom_schedule,
     bar_b,
     delta,
     validate,
 )
 from .measures import CappedExpProduct, CappedStableAxis, Dirac, ExpProduct, StableAxis
 from .cumulant import (
-    CumulantSolution,
     LadderNotConverged,
+    PiecewiseSolution,
     SolverError,
     SolverOptions,
     atom_step,
@@ -30,7 +29,7 @@ from .cumulant import (
     solve_backward,
     v_infinity,
 )
-from .moments import MomentCurve, first_moment, moment_bound
+from .moments import first_moment, moment_bound
 from .noise import NoiseStream
 from .simulate import (
     EnsembleStats,

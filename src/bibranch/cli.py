@@ -17,12 +17,13 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from .cumulant import extinction_prob, solve_backward
+from .cumulant import SolverError, extinction_prob, solve_backward
 from .environment import validate
 from .functionals import mc_functional, solve_functional, solve_w
 from .moments import first_moment, moment_bound
 from .noise import NoiseStream
-from .simulate import SimOptions, extinction_frequency, simulate_ensemble, simulate_path
+from .simulate import (SimOptions, SimulationError, extinction_frequency, simulate_ensemble,
+                       simulate_path)
 from .verify import Scenario, reports_to_json, run_suite, suite
 
 USAGE_ERROR, VALIDATION_ERROR, GATE_FAILURE = 1, 2, 3
@@ -42,11 +43,13 @@ def _parse_pair(text):
 
 
 def _load_env(args, need_zeta=False):
+    """Parse the config once and write ``--dump-config`` from what was parsed."""
     cfg = cfgmod.load_config(args.env)
     env = cfgmod.env_from_config(cfg)
-    run = cfg.get("run", {})
-    zeta = cfgmod.zeta_from_config(cfg) if need_zeta else None
-    return cfg, env, run, zeta
+    zeta = cfgmod.zeta_from_config(cfg) if need_zeta or args.dump_config else None
+    if args.dump_config:
+        cfgmod.dump_config(cfgmod.env_to_config(env, zeta, cfg.get("run")), args.dump_config)
+    return env, cfg.get("run", {}), zeta
 
 
 def _run_value(args, run, key, default):
@@ -77,24 +80,15 @@ def _write_csv(path, header, rows):
             out.close()
 
 
-def _maybe_dump_config(args, cfg):
-    if getattr(args, "dump_config", None):
-        env = cfgmod.env_from_config(cfg)
-        zeta = cfgmod.zeta_from_config(cfg)
-        cfgmod.dump_config(cfgmod.env_to_config(env, zeta, cfg.get("run")), args.dump_config)
-
-
 def cmd_validate(args):
-    cfg, env, _, _ = _load_env(args)
-    _maybe_dump_config(args, cfg)
+    env, _, _ = _load_env(args)
     report = validate(env)
     print(report, file=sys.stderr)
     return 0 if report.passed else VALIDATION_ERROR
 
 
 def cmd_cumulant(args):
-    cfg, env, run, _ = _load_env(args)
-    _maybe_dump_config(args, cfg)
+    env, run, _ = _load_env(args)
     if not _check_env(env, quiet=True):
         return VALIDATION_ERROR
     t = float(_run_value(args, run, "t", env.horizon))
@@ -110,14 +104,13 @@ def cmd_cumulant(args):
 
 
 def cmd_moments(args):
-    cfg, env, run, _ = _load_env(args)
-    _maybe_dump_config(args, cfg)
+    env, run, _ = _load_env(args)
     if not _check_env(env, quiet=True):
         return VALIDATION_ERROR
     t = float(_run_value(args, run, "t", env.horizon))
     x0 = args.x0 if args.x0 is not None else tuple(run.get("x0", (1.0, 1.0)))
     curve = first_moment(env, x0, t)
-    ts, ms = curve.grid()
+    ts, ms, _, _ = curve.grid()
     rows = []
     for tk, mk in zip(ts, ms):
         bound = moment_bound(env, x0, float(tk))
@@ -144,8 +137,7 @@ def _lambda_grid(args, run):
 
 
 def cmd_simulate(args):
-    cfg, env, run, _ = _load_env(args)
-    _maybe_dump_config(args, cfg)
+    env, run, _ = _load_env(args)
     if not _check_env(env, quiet=True):
         return VALIDATION_ERROR
     t = float(_run_value(args, run, "t", env.horizon))
@@ -200,8 +192,7 @@ def cmd_simulate(args):
 
 
 def cmd_functional(args):
-    cfg, env, run, zeta = _load_env(args, need_zeta=True)
-    _maybe_dump_config(args, cfg)
+    env, run, zeta = _load_env(args, need_zeta=True)
     if not _check_env(env, quiet=True):
         return VALIDATION_ERROR
     if zeta is None:
@@ -230,8 +221,7 @@ def cmd_functional(args):
 
 
 def cmd_extinction(args):
-    cfg, env, run, _ = _load_env(args)
-    _maybe_dump_config(args, cfg)
+    env, run, _ = _load_env(args)
     if not _check_env(env, quiet=True):
         return VALIDATION_ERROR
     t = float(_run_value(args, run, "t", env.horizon))
@@ -371,7 +361,8 @@ def main(argv=None) -> int:
         parser.error("verify needs --suite or --scenario FILE")
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, json.JSONDecodeError,
+            SolverError, SimulationError) as exc:
         print(f"bibranch: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -6,11 +6,17 @@ ODE driven by the density parts of the environment,
     dv_i/dr = v_i b'_ii(r) - v_j b'_ij(r) + v_i^2 c'_i(r)
               + sum over density components of m_i of rate(r) * K_i-integral(v),
 
-integrated from the terminal condition v(t) = lambda downward; every atom
-time and density breakpoint is a hard mesh point.  At an atom time s the
-left limit follows the closed-form jump map (fully compensated exponent K):
+integrated from the terminal condition v(t) = lambda downward; the hard mesh
+points (``EnvSpec.hard_points``: every atom time and density breakpoint) are
+never stepped across.  At an atom time s the left limit follows the
+closed-form jump map (fully compensated exponent K):
 
     v_left_i = v_i (1 - db_ii) + v_j dbar_ij - integral K(v, z) m_i({s}, dz).
+
+The result is a :class:`PiecewiseSolution`: dense pieces joined by atom
+jumps.  The forward mean system of :mod:`bibranch.moments` has the same
+shape, so it uses the same solution type and the same piece solver,
+``_solve_piece``, which is the only call of ``solve_ivp``.
 
 The same machinery solves the weight-shifted system for integral functionals
 (see :mod:`bibranch.functionals`), which adds an accumulation density and
@@ -45,7 +51,7 @@ __all__ = [
     "SolverOptions",
     "SolverError",
     "LadderNotConverged",
-    "CumulantSolution",
+    "PiecewiseSolution",
     "solve_backward",
     "atom_step",
     "laplace_transform",
@@ -83,36 +89,35 @@ class SolverOptions:
 DEFAULT_OPTIONS = SolverOptions()
 
 
-class CumulantSolution:
-    """Backward solution on [r_end, t]: dense segments plus atom jumps.
+class PiecewiseSolution:
+    """Solution of a segmented ODE on [lo, hi]: dense pieces joined at atoms.
 
-    ``at(r)`` returns the right-continuous value v_{r,t} (the atom at r, if
-    any, is not applied); ``left_at(s)`` returns the left limit at an atom.
+    The cumulant (and its weight-shifted form) is integrated backward from
+    hi, the mean forward from lo; both are smooth between hard points and
+    jump by closed-form maps at atoms.  ``segments`` are
+    ``(lo, hi, dense, v_lo, v_hi)`` pieces, ``dense`` None on a piece held
+    constant; ``atom_values`` maps each atom time to its (left, right) pair;
+    ``fixed`` maps an end of the range to its exact value (the terminal
+    lambda of a backward solve; x0 and any terminal-atom mean of the forward
+    one).  ``at(r)`` returns the right-continuous value (for the backward
+    solve, the atom at r, if any, is not applied); ``left_at(s)`` returns
+    the left limit at an atom.
     """
 
-    def __init__(self, t, lam, r_end, segments, atom_values, zeta=None):
-        self.terminal_time = float(t)
-        self.terminal_lambda = np.asarray(lam, dtype=float)
-        self.r_end = float(r_end)
-        # segments: list of (lo, hi, dense_sol, v_lo, v_hi) ascending in lo
+    def __init__(self, lo, hi, segments, atom_values, fixed):
+        self.lo, self.hi = float(lo), float(hi)
         self._segments = sorted(segments, key=lambda s: s[0])
         self._los = [s[0] for s in self._segments]
-        self.atom_values = dict(atom_values)  # time -> (v_left, v_right)
-        self.zeta = zeta
-
-    @property
-    def atom_times(self):
-        return tuple(sorted(self.atom_values))
+        self.atom_values = dict(atom_values)  # time -> (left, right)
+        self.fixed = {float(s): np.asarray(v, dtype=float) for s, v in fixed.items()}
 
     def at(self, r: float) -> np.ndarray:
-        if not (self.r_end - 1e-12 <= r <= self.terminal_time + 1e-12):
-            raise ValueError(f"r={r} outside solved range [{self.r_end}, {self.terminal_time}]")
-        if r >= self.terminal_time:
-            return self.terminal_lambda.copy()
-        if not self._segments:
-            return self.terminal_lambda.copy()
-        k = bisect.bisect_right(self._los, r) - 1
-        k = max(k, 0)
+        if not (self.lo - 1e-12 <= r <= self.hi + 1e-12):
+            raise ValueError(f"r={r} outside solved range [{self.lo}, {self.hi}]")
+        end = self.lo if r <= self.lo else self.hi if r >= self.hi else None
+        if end in self.fixed:
+            return self.fixed[end].copy()
+        k = max(bisect.bisect_right(self._los, r) - 1, 0)
         lo, hi, dense, v_lo, v_hi = self._segments[k]
         if dense is None:
             v = v_lo if r - lo <= hi - r else v_hi
@@ -126,35 +131,33 @@ class CumulantSolution:
         return self.at(s)
 
     def grid(self):
-        """(times, values, is_atom, left_values) with times increasing."""
+        """(times, values, is_atom, left) with times increasing.
+
+        At an atom ``values`` holds the right value and ``left`` the left
+        limit; elsewhere the two agree.
+        """
         times, values = [], []
+        if self.lo in self.fixed:
+            times, values = [np.array([self.lo])], [self.fixed[self.lo][None, :]]
         for lo, hi, dense, v_lo, v_hi in self._segments:
             if dense is None:
-                seg_t = np.array([lo, hi])
-                seg_v = np.column_stack([v_lo, v_hi]).T
+                seg_t, seg_v = np.array([lo, hi]), np.vstack([v_lo, v_hi])
             else:
-                seg_t = np.sort(np.unique(np.clip(dense.ts, lo, hi)))
+                seg_t = np.unique(np.clip(dense.ts, lo, hi))
                 seg_v = np.maximum(dense(seg_t).T, 0.0)
             if times and times[-1][-1] == seg_t[0]:
                 seg_t, seg_v = seg_t[1:], seg_v[1:]
             if seg_t.size:
                 times.append(seg_t)
                 values.append(seg_v)
-        if times:
-            ts = np.concatenate(times)
-            vs = np.vstack(values)
-        else:
-            ts = np.array([self.terminal_time])
-            vs = self.terminal_lambda[None, :]
-        if ts[-1] < self.terminal_time:
-            ts = np.append(ts, self.terminal_time)
-            vs = np.vstack([vs, self.terminal_lambda])
+        ts, vs = np.concatenate(times), np.vstack(values)
+        if ts[-1] < self.hi and self.hi in self.fixed:
+            ts = np.append(ts, self.hi)
+            vs = np.vstack([vs, self.fixed[self.hi]])
         is_atom = np.array([t in self.atom_values for t in ts])
         left = vs.copy()
-        for k, t in enumerate(ts):
-            if t in self.atom_values:
-                left[k] = self.atom_values[t][0]
-                vs[k] = self.atom_values[t][1]
+        for k in np.flatnonzero(is_atom):
+            left[k], vs[k] = self.atom_values[ts[k]]
         return ts, vs, is_atom, left
 
 
@@ -267,11 +270,13 @@ def _make_rhs(env: EnvSpec, zeta=None):
     return rhs
 
 
-def _solve_piece(fun, r0, lo, y0, opts):
-    sol = solve_ivp(fun, (r0, lo), y0, method="RK45", rtol=opts.rel_tol,
+def _solve_piece(fun, start, end, y0, opts):
+    """Integrate one smooth piece from start to end, in either direction."""
+    sol = solve_ivp(fun, (start, end), y0, method="RK45", rtol=opts.rel_tol,
                     atol=opts.abs_tol, max_step=opts.max_step, dense_output=True)
     if not sol.success:
-        raise SolverError(f"nonconvergent-step on [{lo:g}, {r0:g}]: {sol.message}")
+        lo, hi = sorted((start, end))
+        raise SolverError(f"nonconvergent-step on [{lo:g}, {hi:g}]: {sol.message}")
     return sol
 
 
@@ -380,21 +385,8 @@ def _integrate_backward(env, t, lam, opts, zeta=None, r_end=0.0):
     if not (0.0 <= r_end <= t <= env.horizon + 1e-12):
         raise ValueError("need 0 <= r_end <= t <= horizon")
 
-    extra_atoms = ()
-    extra_breaks = []
-    if zeta is not None:
-        extra_atoms = tuple(
-            s for sm in zeta.per_type for s in sm.atom_times
-        )
-        for sm in zeta.per_type:
-            extra_breaks.extend(sm.density.breakpoints(r_end, t))
-
-    atom_ts = env.atom_times(r_end, t, extra=extra_atoms)
-    hard = sorted(
-        set([r_end, t]) | set(atom_ts) | set(env.density_breakpoints(r_end, t))
-        | set(extra_breaks)
-    )
-    atom_set = set(atom_ts)
+    hard = env.hard_points(r_end, t, zeta)
+    atom_set = set(env.atom_times(r_end, t, extra=zeta.atom_times if zeta is not None else ()))
 
     rhs = _make_rhs(env, zeta=zeta)
     v = lam.copy()
@@ -441,13 +433,13 @@ def _integrate_backward(env, t, lam, opts, zeta=None, r_end=0.0):
                 )
             segments.append((lo, hi, _DenseSegment(sol), np.maximum(v_new, 0.0), v.copy()))
             v = np.maximum(v_new, 0.0)
-        if lo in atom_set and lo > r_end:
+        if lo in atom_set:
             v = apply_atom(lo, v)
 
-    return CumulantSolution(t, lam, r_end, segments, atom_values, zeta=zeta)
+    return PiecewiseSolution(r_end, t, segments, atom_values, {t: lam})
 
 
-def solve_backward(env: EnvSpec, t: float, lam, opts: SolverOptions | None = None) -> CumulantSolution:
+def solve_backward(env: EnvSpec, t: float, lam, opts: SolverOptions | None = None) -> PiecewiseSolution:
     """Solve the backward cumulant system on [0, t] with terminal value lam.
 
     Entries of lam may be ``inf``; see :func:`v_infinity`.
@@ -457,12 +449,12 @@ def solve_backward(env: EnvSpec, t: float, lam, opts: SolverOptions | None = Non
 
 def laplace_transform(env: EnvSpec, x, r: float, t: float, lam,
                       opts: SolverOptions | None = None) -> float:
-    """Transition-kernel Laplace transform exp(-<x, v_{r,t}(lam)>)."""
+    """Transition-kernel Laplace transform exp(-<x, v_{r,t}(lam)>), with 0 * inf = 0."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("x must be componentwise nonnegative")
     sol = _integrate_backward(env, t, lam, opts, r_end=r)
-    return float(np.exp(-x @ sol.at(r)))
+    return float(np.exp(-x @ np.where(x > 0, sol.at(r), 0.0)))
 
 
 def semigroup_check(env: EnvSpec, r: float, s: float, t: float, lam,

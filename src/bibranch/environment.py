@@ -27,7 +27,6 @@ __all__ = [
     "validate",
     "delta",
     "bar_b",
-    "atom_schedule",
     "atom_info",
 ]
 
@@ -111,6 +110,20 @@ class EnvSpec:
                 pts.update(rate.breakpoints(lo, hi))
         return sorted(pts)
 
+    def hard_points(self, lo: float, hi: float, zeta=None, extra=()):
+        """Sorted points on [lo, hi] that no integrator may step across.
+
+        Both ends, every atom time in (lo, hi] and density breakpoint in
+        (lo, hi), of the environment and of the optional weight measure
+        ``zeta``, and the caller's ``extra`` times that lie in (lo, hi].
+        """
+        if zeta is not None:
+            extra = (*extra, *zeta.atom_times)
+        pts = {lo, hi, *self.atom_times(lo, hi, extra), *self.density_breakpoints(lo, hi)}
+        for sm in zeta.per_type if zeta is not None else ():
+            pts.update(sm.density.breakpoints(lo, hi))
+        return sorted(pts)
+
 
 @dataclass(frozen=True)
 class AtomInfo:
@@ -132,17 +145,6 @@ def atom_info(env: EnvSpec, s: float):
     if all(all(x == 0.0 for x in row) for row in db) and not any(jumps):
         return None
     return AtomInfo(time=s, db=db, jumps=jumps)
-
-
-def atom_schedule(env: EnvSpec, r: float, t: float, extra=()):
-    """Merged atom events in (r, t], optionally unioned with caller times."""
-    out = []
-    for s in env.atom_times(r, t, extra=extra):
-        info = atom_info(env, s)
-        if info is None:
-            info = AtomInfo(time=s, db=((0.0, 0.0), (0.0, 0.0)), jumps=((), ()))
-        out.append(info)
-    return out
 
 
 def delta(env: EnvSpec, i: int, t: float) -> float:

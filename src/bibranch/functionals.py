@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cumulant import CumulantSolution, SolverOptions, _integrate_backward
+from .cumulant import PiecewiseSolution, SolverOptions, _integrate_backward
 from .densities import SignedMeasure1D
 from .environment import EnvSpec
 from .noise import NoiseStream
@@ -49,12 +49,17 @@ class WeightMeasure:
     def is_zero(self) -> bool:
         return all(sm.is_zero for sm in self.per_type)
 
+    @property
+    def atom_times(self):
+        """Times where either weight has an atom, ascending."""
+        return tuple(sorted({s for sm in self.per_type for s in sm.atom_times}))
+
     def atom_vector(self, s: float) -> np.ndarray:
         return np.array([self.per_type[0].atom_mass(s), self.per_type[1].atom_mass(s)])
 
 
 def solve_functional(env: EnvSpec, zeta: WeightMeasure, t: float, lam,
-                     opts: SolverOptions | None = None) -> CumulantSolution:
+                     opts: SolverOptions | None = None) -> PiecewiseSolution:
     """Solve the weight-shifted backward system for u_{.,t} on [0, t]."""
     return _integrate_backward(env, t, lam, opts, zeta=zeta, r_end=0.0)
 

@@ -6,81 +6,33 @@ The mean M(t) = E X(t) solves the linear measure-driven system
     M_i(s) = M_i(s-) (1 - db_ii(s)) + M_j(s-) dbar_ji(s)    at atoms,
 
 where bar_b augments the cross drift with the cross first moment of the jump
-kernel (compensated own-kernel jumps drop out of the mean).  The bound uses
-the symmetric Gronwall envelope: with beta(t) the larger diagonal total
-variation and a(t) = bar_b_12(t) bar_b_21(t) e^beta + beta,
+kernel (compensated own-kernel jumps drop out of the mean).  It is integrated
+forward between the hard points of ``EnvSpec.hard_points`` with the
+cumulant's piece solver, and returned as the same
+:class:`~bibranch.cumulant.PiecewiseSolution` as the backward cumulant: the
+exact ``x0`` at 0, ``at(t)`` the right-continuous (post-atom) mean and
+``left_at(s)`` the pre-atom mean at an atom.
+
+The bound uses the symmetric Gronwall envelope: with beta(t) the larger
+diagonal total variation and a(t) = bar_b_12(t) bar_b_21(t) e^beta + beta,
 
     E X_i(t) <= x_i e^a + x_j bar_b_ji(t) e^(beta + a).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .cumulant import SolverError, SolverOptions, DEFAULT_OPTIONS, _DenseSegment, _coefficients
+from .cumulant import (DEFAULT_OPTIONS, PiecewiseSolution, SolverError, SolverOptions,
+                       _DenseSegment, _coefficients, _solve_piece)
 from .environment import EnvSpec, atom_info, bar_b
 
-__all__ = ["MomentCurve", "first_moment", "moment_bound"]
+__all__ = ["first_moment", "moment_bound"]
 
 
-class MomentCurve:
-    """Mean curve on [0, t]: dense segments plus explicit atom updates."""
-
-    def __init__(self, x0, t_end, segments, atom_values):
-        self.x0 = np.asarray(x0, dtype=float)
-        self.t_end = float(t_end)
-        self._segments = sorted(segments, key=lambda s: s[0])
-        self._los = [s[0] for s in self._segments]
-        self.atom_values = dict(atom_values)  # time -> (m_left, m_right)
-
-    def at(self, t: float) -> np.ndarray:
-        if not (-1e-12 <= t <= self.t_end + 1e-12):
-            raise ValueError(f"t={t} outside [0, {self.t_end}]")
-        if not self._segments:
-            if t in self.atom_values:
-                return self.atom_values[t][1].copy()
-            return self.x0.copy()
-        if t <= self._los[0]:
-            return self.x0.copy()
-        k = bisect.bisect_right(self._los, t) - 1
-        lo, hi, dense, v_lo, v_hi = self._segments[k]
-        if t >= hi and t in self.atom_values:
-            return self.atom_values[t][1].copy()
-        if dense is None:
-            v = v_lo
-        else:
-            v = dense(min(max(t, lo), hi))
-        return np.asarray(v, dtype=float)
-
-    def left_at(self, t: float) -> np.ndarray:
-        if t in self.atom_values:
-            return self.atom_values[t][0].copy()
-        return self.at(t)
-
-    def grid(self):
-        ts_list, vs_list = [np.array([0.0])], [self.x0[None, :]]
-        for lo, hi, dense, v_lo, v_hi in self._segments:
-            seg_t = np.sort(np.unique(dense.ts)) if dense is not None else np.array([lo, hi])
-            seg_v = dense(seg_t).T if dense is not None else np.vstack([v_lo, v_hi])
-            if ts_list and ts_list[-1][-1] == seg_t[0]:
-                seg_t, seg_v = seg_t[1:], seg_v[1:]
-            if seg_t.size:
-                ts_list.append(seg_t)
-                vs_list.append(seg_v)
-        ts = np.concatenate(ts_list)
-        vs = np.vstack(vs_list)
-        # replace values at atom times with the post-atom state
-        for k, t in enumerate(ts):
-            if t in self.atom_values:
-                vs[k] = self.atom_values[t][1]
-        return ts, vs
-
-
-def first_moment(env: EnvSpec, x0, t: float, opts: SolverOptions | None = None) -> MomentCurve:
+def first_moment(env: EnvSpec, x0, t: float, opts: SolverOptions | None = None) -> PiecewiseSolution:
     """Solve the linear mean system forward from x0 on [0, t]."""
     if opts is None:
         opts = DEFAULT_OPTIONS
@@ -101,18 +53,14 @@ def first_moment(env: EnvSpec, x0, t: float, opts: SolverOptions | None = None) 
             -m[1] * b22 + m[0] * bar12,
         )
 
-    atom_ts = env.atom_times(0.0, t)
-    hard = sorted(set([0.0, t]) | set(atom_ts) | set(env.density_breakpoints(0.0, t)))
-    atom_set = set(atom_ts)
+    hard = env.hard_points(0.0, t)
+    atom_set = set(env.atom_times(0.0, t))
 
     m = x0.copy()
     segments = []
     atom_values = {}
     for lo, hi in zip(hard[:-1], hard[1:]):
-        sol = solve_ivp(rhs, (lo, hi), m, method="RK45", rtol=opts.rel_tol,
-                        atol=opts.abs_tol, max_step=opts.max_step, dense_output=True)
-        if not sol.success:
-            raise SolverError(f"nonconvergent-step on [{lo:g}, {hi:g}]: {sol.message}")
+        sol = _solve_piece(rhs, lo, hi, m, opts)
         m = sol.y[:, -1]
         segments.append((lo, hi, _DenseSegment(sol), None, None))
         if hi in atom_set:
@@ -126,7 +74,10 @@ def first_moment(env: EnvSpec, x0, t: float, opts: SolverOptions | None = None) 
                 raise SolverError(f"negative mean after atom at t={hi:g}: {m}")
             m = np.maximum(m, 0.0)
             atom_values[hi] = (m_left, m.copy())
-    return MomentCurve(x0, t, segments, atom_values)
+    fixed = {0.0: x0}
+    if t in atom_values:
+        fixed[t] = atom_values[t][1]
+    return PiecewiseSolution(0.0, t, segments, atom_values, fixed)
 
 
 def moment_bound(env: EnvSpec, x0, t: float) -> np.ndarray:

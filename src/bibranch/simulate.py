@@ -154,19 +154,7 @@ class _StepPlan:
     def __init__(self, env: EnvSpec, t0: float, t: float, opts: SimOptions,
                  checkpoints=(), zeta=None):
         self.opts = opts
-        extra = []
-        zeta_atoms = ()
-        if zeta is not None:
-            zeta_atoms = tuple(s for sm in zeta.per_type for s in sm.atom_times)
-            for sm in zeta.per_type:
-                extra.extend(sm.density.breakpoints(t0, t))
-        required = sorted(
-            set([t0, t])
-            | set(c for c in checkpoints if t0 < c <= t)
-            | set(env.atom_times(t0, t, extra=zeta_atoms))
-            | set(env.density_breakpoints(t0, t))
-            | set(extra)
-        )
+        required = env.hard_points(t0, t, zeta, extra=checkpoints)
         mesh = [np.array([t0])]
         for a, b in zip(required[:-1], required[1:]):
             k = max(1, int(math.ceil((b - a) / opts.step - 1e-12)))

@@ -192,6 +192,22 @@ def test_cli_extinction(cfg_file, capsys):
     assert 0.0 <= p <= 1.0
 
 
+def test_cli_solver_error_is_one_line(tmp_path, capsys):
+    # type 1 is fed by type 2's blow-up through a cross drift that vanishes
+    # at t, where a full bottleneck zeroes it: the solver refuses to guess
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "feller.json").read_text())
+    cfg["types"][1]["c"] = {"density": {"kind": "constant", "v": 0.5}}
+    cfg["types"][0]["b_cross"] = {"density": {"kind": "piecewise_linear",
+                                              "points": [[0.0, 1.0], [1.0, 0.0]]}}
+    cfg["types"][0]["b_diag"]["atoms"] = [{"t": 1.0, "mass": 1.0}]
+    path = tmp_path / "blow_up.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["extinction", str(path), "--x0", "1,0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bibranch: unresolved-blow-up")
+    assert err.count("\n") == 1
+
+
 def test_cli_dump_config_round_trip(cfg_file, tmp_path):
     dumped = tmp_path / "normalized.json"
     assert main(["validate", str(cfg_file), "--dump-config", str(dumped)]) == 0

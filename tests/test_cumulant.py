@@ -17,7 +17,7 @@ from bibranch.densities import Density
 from bibranch.densities import SignedMeasure1D
 from bibranch.environment import JumpKernel
 from bibranch.measures import Dirac, StableAxis
-from bibranch.verify import stable_jump_env, suite
+from bibranch.verify import feller_embed_env, stable_jump_env, suite
 
 from conftest import atoms_only, const, feller_env, make_env, random_env
 
@@ -336,6 +336,19 @@ def test_v_infinity_unresolved_feed_raises():
         Density.piecewise_linear([(0.0, 1.0), (1.0, 0.0)]), ()))
     with pytest.raises(SolverError):
         solve_backward(env, 1.0, (1.0, math.inf))
+
+
+def test_laplace_transform_at_infinity_uses_zero_times_inf():
+    # type 2 is inert, so it stays infinite; with no mass on it the
+    # transform at lambda = inf is the extinction probability
+    env = feller_embed_env()
+    inf = (math.inf, math.inf)
+    p = laplace_transform(env, (1.0, 0.0), 0.0, 1.0, inf)
+    assert p == extinction_prob(env, (1.0, 0.0), 1.0)
+    assert 0.0 < p < 1.0
+    # mass on a diverging component gives 0
+    assert laplace_transform(env, (1.0, 0.5), 0.0, 1.0, inf) == 0.0
+    assert laplace_transform(make_env(), (0.0, 2.0), 0.0, 1.0, inf) == 0.0
 
 
 def test_solution_grid_contains_atoms_both_sided():

@@ -5,11 +5,12 @@ from bibranch.densities import Density, SignedMeasure1D
 from bibranch.environment import (
     EnvSpec,
     JumpKernel,
-    atom_schedule,
+    atom_info,
     bar_b,
     delta,
     validate,
 )
+from bibranch.functionals import WeightMeasure
 from bibranch.measures import Dirac, ExpProduct, StableAxis, UncompensatedStableError
 
 from conftest import atoms_only, const, make_env, random_env
@@ -132,26 +133,45 @@ def test_K_integral_convex_on_own_axis():
     assert np.all(second >= -1e-12)
 
 
-def test_atom_schedule_merge_and_window():
+def test_atom_times_merge_and_window():
     env = make_env(
         b11=atoms_only((0.5, 0.2)),
         m2=JumpKernel((), ((0.5, Dirac((0.1, 0.3), 0.2)), (0.9, Dirac((0.2, 0.0), 0.1)))),
     )
-    events = atom_schedule(env, 0.0, 1.0)
-    assert [e.time for e in events] == [0.5, 0.9]
-    first = events[0]
+    assert env.atom_times(0.0, 1.0) == [0.5, 0.9]
+    assert env.hard_points(0.0, 1.0) == [0.0, 0.5, 0.9, 1.0]
+    first = atom_info(env, 0.5)
+    assert first.time == 0.5
     assert first.db[0][0] == pytest.approx(0.2)
     assert len(first.jumps[1]) == 1  # the m_2 atom rides the same event
     # half-open window (r, t]
-    assert [e.time for e in atom_schedule(env, 0.6, 1.0)] == [0.9]
-    assert [e.time for e in atom_schedule(env, 0.5, 0.9)] == [0.9]
+    assert env.atom_times(0.6, 1.0) == [0.9]
+    assert env.atom_times(0.5, 0.9) == [0.9]
+    assert env.hard_points(0.5, 0.9) == [0.5, 0.9]
     # caller-supplied extra times appear even without environment mass
-    assert [e.time for e in atom_schedule(env, 0.0, 1.0, extra=(0.7,))] == [0.5, 0.7, 0.9]
+    assert env.atom_times(0.0, 1.0, extra=(0.7,)) == [0.5, 0.7, 0.9]
+    assert env.hard_points(0.0, 1.0, extra=(0.7,)) == [0.0, 0.5, 0.7, 0.9, 1.0]
+    assert atom_info(env, 0.7) is None
 
 
-def test_smooth_environment_has_empty_schedule():
+def test_smooth_environment_hard_points_are_ends():
     env = make_env(b11=const(1.0), c1=const(0.5))
-    assert atom_schedule(env, 0.0, 1.0) == []
+    assert env.atom_times(0.0, 1.0) == []
+    assert env.hard_points(0.0, 1.0) == [0.0, 1.0]
+
+
+def test_hard_points_with_weight_measure():
+    env = make_env(b11=atoms_only((0.5, 0.2)))
+    ramp = Density.piecewise_linear([(0.0, 1.0), (0.3, 0.0), (2.0, 0.0)])
+    zeta = WeightMeasure((SignedMeasure1D(ramp, ((0.8, 0.4),)),
+                          SignedMeasure1D(Density.zero(), ((0.2, 0.1), (1.5, 0.3)))))
+    assert zeta.atom_times == (0.2, 0.8, 1.5)
+    # zeta atoms and breakpoints inside the window join the environment's
+    assert env.hard_points(0.0, 1.0, zeta) == [0.0, 0.2, 0.3, 0.5, 0.8, 1.0]
+    assert env.hard_points(0.25, 1.0, zeta) == [0.25, 0.3, 0.5, 0.8, 1.0]
+    # extras outside (lo, hi] are dropped
+    assert env.hard_points(0.0, 1.0, zeta, extra=(-0.5, 0.0, 0.6, 1.0, 1.2)) == \
+        [0.0, 0.2, 0.3, 0.5, 0.6, 0.8, 1.0]
 
 
 def test_random_envs_validate_and_deltas_bounded(rng):

@@ -54,6 +54,12 @@ def test_atom_update_with_cross_and_jump_atoms():
     assert left == pytest.approx([1.0, 2.0])
     assert post[0] == pytest.approx(1.0 * 0.7 + 2.0 * (0.2 + 0.2))
     assert post[1] == pytest.approx(2.0)
+    # the grid carries both sides of the atom
+    ts, vs, is_atom, grid_left = curve.grid()
+    k = int(np.flatnonzero(ts == 0.5)[0])
+    assert is_atom[k] and np.count_nonzero(is_atom) == 1
+    assert np.array_equal(grid_left[k], left)
+    assert np.array_equal(vs[k], post)
 
 
 def test_bound_zero_env_is_initial_state():
