@@ -241,12 +241,13 @@ def _scenario_from_config(cfg) -> Scenario:
     run = cfg.get("run", {})
     opts = _sim_options(None, run)  # verify has no per-option flags
     x0_high = run.get("x0_high")
+    t = float(run.get("t", env.horizon))
     return Scenario(
         name=cfg.get("name", "scenario"),
         env=env,
         x0=tuple(run.get("x0", (1.0, 1.0))),
-        t=float(run.get("t", env.horizon)),
-        checkpoints=tuple(run.get("checkpoints", (env.horizon,))),
+        t=t,
+        checkpoints=tuple(run.get("checkpoints", (t,))),
         lam_grid=tuple(tuple(l) for l in run.get("lambda_grid", [(1.0, 1.0)])),
         n_paths=int(run.get("paths", 10000)),
         seed=int(run.get("seed", 0)),
@@ -274,7 +275,8 @@ def cmd_verify(args):
             fh.write(text + "\n")
     for r in reports:
         status = "pass" if r.passed else "FAIL"
-        print(f"{r.scenario}: {status} ({r.runtime:.1f}s)", file=sys.stderr)
+        skips = "".join(f"; skipped {s.check}: {s.reason}" for s in r.skipped)
+        print(f"{r.scenario}: {status} ({r.runtime:.1f}s{skips})", file=sys.stderr)
     return 0 if all(r.passed for r in reports) else GATE_FAILURE
 
 

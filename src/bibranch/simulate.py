@@ -465,6 +465,9 @@ def simulate_ensemble(env: EnvSpec, x0, t: float, checkpoints, lam_grid, n_paths
     if n_paths < 2:
         raise ValueError("need at least 2 paths for standard errors")
     checkpoints = sorted(set(float(c) for c in checkpoints) | {float(t)})
+    outside = [c for c in checkpoints if not t0 <= c <= t]
+    if outside:
+        raise ValueError(f"checkpoint {outside[0]} outside [{t0}, {t}]")
     lambdas = np.asarray(lam_grid, dtype=float).reshape(-1, 2) if len(lam_grid) else np.empty((0, 2))
     rng = noise.substream("ensemble")
     plan = _StepPlan(env, t0, t, opts, checkpoints=checkpoints)

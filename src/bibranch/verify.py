@@ -1,15 +1,18 @@
 """Named cross-check scenarios with statistical gates and a JSON verdict.
 
 Each scenario owns an environment, a seed, Monte Carlo sizes and a gate
-configuration, and runs an ordered battery: environment validation, the
-flow-property residual, ensemble mean versus the exact first moment, the
-Laplace-transform agreement between simulation and the backward solver,
-pathwise or distributional comparison, truncation monotonicity, extinction,
-and weighted-functional identities.  Statistical failure is a red verdict,
-never an exception; gates compare |estimate - exact| against sigma * SE,
-falling back to an explicit O(step) bias floor on cells whose sample SE is
-degenerate (deterministic environments).  The JSON report excludes runtimes
-so identical seeds yield byte-identical reports at any thread count.
+configuration.  After environment validation it runs the gates its ``checks``
+name, in ``GATES`` order: the flow-property residual, ensemble mean versus the
+exact first moment, simulation-versus-solver Laplace agreement, pathwise or
+distributional comparison, truncation monotonicity, extinction, and
+weighted-functional identities.  A gate returns its ``CheckResult``s, plus a
+``Skip`` with a reason for each check its scenario configures but that cannot
+run.  The gates share one lazily built ensemble, whose time is in the
+scenario's runtime and in no ``CheckResult.runtime``.  Statistical failure is
+a red verdict, never an exception; gates compare |estimate - exact| against
+sigma * SE, or against an O(step) bias floor where the sample SE is degenerate.
+The JSON report excludes runtimes and skips, so identical seeds yield
+byte-identical reports at any thread count.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .noise import NoiseStream
 from .simulate import SimOptions, coupled_order_violations, extinction_frequency, \
     simulate_ensemble, state_variance_finite, truncate_large_jumps
 
-__all__ = ["GateConfig", "Scenario", "CheckResult", "VerdictReport",
+__all__ = ["GateConfig", "Scenario", "CheckResult", "Skip", "VerdictReport", "GATES",
            "run_scenario", "run_suite", "suite", "reports_to_json"]
 
 
@@ -55,10 +58,6 @@ class GateConfig:
     se_degenerate: float = 1e-12
 
 
-ALL_CHECKS = ("validation", "semigroup", "moment", "laplace", "comparison",
-              "truncation", "extinction", "functional")
-
-
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -78,7 +77,7 @@ class Scenario:
     extinction_exact_one: bool = False
     extinction_coarse_step: float | None = None  # bias-refinement documentation
     truncation: bool = False
-    checks: tuple = ALL_CHECKS
+    checks: tuple = field(default_factory=lambda: ("validation", *GATES))
     gates: GateConfig = field(default_factory=GateConfig)
 
     def sim_options(self, step=None) -> SimOptions:
@@ -95,12 +94,19 @@ class CheckResult:
     runtime: float = 0.0
 
 
+@dataclass(frozen=True)
+class Skip:  # a check the scenario configures but that cannot run
+    check: str
+    reason: str
+
+
 @dataclass
 class VerdictReport:
     scenario: str
     checks: list
     passed: bool
     runtime: float = 0.0
+    skipped: list = field(default_factory=list)  # Skip records, not in the JSON
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,190 +128,189 @@ def reports_to_json(reports) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-class _Timer:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self.t0
-
-
 def _gate_ratio(diff, se, sigma, floor, degenerate_se):
     """|diff| over its tolerance; tolerance is sigma*SE or the bias floor."""
     tol = sigma * se if se > degenerate_se else floor
     return abs(diff) / tol if tol > 0 else math.inf if diff != 0 else 0.0
 
 
+@dataclass
+class _Context:
+    """What the gates of one scenario share; the ensemble is built on first read."""
+
+    sc: Scenario
+    noise: NoiseStream
+    lam_ref: tuple
+    ensemble_s: float = 0.0
+    _stats: object = None
+
+    @property
+    def stats(self):  # not cached_property, which before Python 3.12 serialises threads
+        if self._stats is None:
+            sc, t0 = self.sc, time.perf_counter()
+            self._stats = simulate_ensemble(sc.env, sc.x0, sc.t, sc.checkpoints, sc.lam_grid,
+                                            sc.n_paths, sc.sim_options(), self.noise)
+            self.ensemble_s = time.perf_counter() - t0
+        return self._stats
+
+
+def _semigroup(sc, ctx):
+    # 5x5 (r, s) grid with one outer solve and one inner solve per s
+    worst, tol = 0.0, sc.gates.semigroup_tol
+    outer = solve_backward(sc.env, sc.t, ctx.lam_ref)
+    for s in np.linspace(0.0, sc.t, 7)[1:-1]:
+        inner = _integrate_backward(sc.env, float(s), outer.at(float(s)), None, r_end=0.0)
+        for r in np.linspace(0.0, s, 5):
+            res = np.abs(outer.at(float(r)) - inner.at(float(r)))
+            worst = max(worst, float(res.max()))
+    return [CheckResult("semigroup", worst, tol, worst < tol)]
+
+
+def _moment(sc, ctx):
+    # a sample-SE gate on the plain mean needs finite state variance; the mean
+    # identity of uncapped power tails is covered through the Laplace gates
+    if not state_variance_finite(sc.env):
+        return [Skip("moment", "state variance infinite (uncapped power tail)")]
+    g, stats = sc.gates, ctx.stats
+    curve = first_moment(sc.env, sc.x0, sc.t)
+    worst = 0.0
+    for a, cp in enumerate(stats.checkpoints):
+        exact = curve.at(float(cp))
+        for i in range(2):
+            floor = g.moment_floor_coeff * sc.step * max(1.0, abs(exact[i]))
+            worst = max(worst, _gate_ratio(stats.mean[a, i] - exact[i], stats.se_mean[a, i],
+                                           g.moment_sigma, floor, g.se_degenerate))
+    return [CheckResult("moment", worst, 1.0, worst <= 1.0)]
+
+
+def _laplace(sc, ctx):
+    if not len(sc.lam_grid):
+        return []
+    g, stats = sc.gates, ctx.stats
+    ratios, hard = [], []
+    floor = g.det_floor_coeff * sc.step
+    for a, cp in enumerate(stats.checkpoints):
+        for l, lam in enumerate(stats.lambdas):
+            exact = laplace_transform(sc.env, sc.x0, 0.0, float(cp), lam)
+            diff = stats.laplace[a, l] - exact
+            se = stats.laplace_se[a, l]
+            ratios.append(_gate_ratio(diff, se, g.mc_sigma, floor, g.se_degenerate))
+            hard.append(_gate_ratio(diff, se, g.hard_sigma, floor, g.se_degenerate))
+    frac = float(np.mean([r <= 1.0 for r in ratios]))
+    worst_hard = float(max(hard))
+    return [CheckResult("laplace-cells", frac, g.cell_pass_frac, frac >= g.cell_pass_frac),
+            CheckResult("laplace-hard-cap", worst_hard, 1.0, worst_hard <= 1.0)]
+
+
+def _comparison(sc, ctx):
+    g, out = sc.gates, []
+    if sc.coupled_pairs and not all(sc.env.c[i].is_zero for i in range(2)):
+        out.append(Skip("comparison-pathwise", "environment has diffusion"))
+    elif sc.coupled_pairs:
+        x_hi = sc.x0_high or tuple(np.asarray(sc.x0) + 1.0)
+        viol, _ = coupled_order_violations(sc.env, sc.x0, x_hi, sc.t, sc.coupled_pairs,
+                                           sc.sim_options(), ctx.noise)
+        out.append(CheckResult("comparison-pathwise", float(viol), 0.0, viol == 0))
+    if sc.x0_high is not None and len(sc.lam_grid):
+        stats, n_high = ctx.stats, max(sc.n_paths // 4, 2)
+        high = simulate_ensemble(sc.env, sc.x0_high, sc.t, (sc.t,), sc.lam_grid, n_high,
+                                 sc.sim_options(), NoiseStream(sc.seed + 1))
+        worst = -math.inf
+        for l in range(len(stats.lambdas)):
+            pooled = math.hypot(stats.laplace_se[-1, l], high.laplace_se[-1, l])
+            pooled = max(pooled, g.se_degenerate)
+            worst = max(worst, (high.laplace[-1, l] - stats.laplace[-1, l]) / pooled)
+        out.append(CheckResult("comparison-distributional", worst, g.mc_sigma,
+                               worst <= g.mc_sigma))
+    return out
+
+
+def _truncation(sc, ctx):
+    if not sc.truncation:
+        return []
+    v_full = solve_backward(sc.env, sc.t, ctx.lam_ref).at(0.0)
+    vs = [solve_backward(truncate_large_jumps(sc.env, k), sc.t, ctx.lam_ref).at(0.0)
+          for k in sc.gates.trunc_levels]
+    min_incr = min(float(np.min(b - a)) for a, b in zip(vs, vs[1:]))
+    d_first = float(np.linalg.norm(vs[0] - v_full))
+    d_last = float(np.linalg.norm(vs[-1] - v_full))
+    return [CheckResult("truncation-monotone", min_incr, 0.0, min_incr >= -1e-9),
+            CheckResult("truncation-converges", d_last / d_first if d_first > 0 else 0.0,
+                        1.0, d_last < d_first or d_first == 0.0)]
+
+
+def _extinction(sc, ctx):
+    g, freq = sc.gates, float(ctx.stats.extinction[-1])
+    if sc.extinction_exact_one:
+        return [CheckResult("extinction-exact", freq, 1.0, freq == 1.0)]
+    p_pred = extinction_prob(sc.env, sc.x0, sc.t)
+    se = math.sqrt(max(freq * (1.0 - freq), 0.0) / sc.n_paths)
+    floor = g.moment_floor_coeff * sc.step
+    ratio = _gate_ratio(freq - p_pred, se, g.extinction_sigma, floor, g.se_degenerate)
+    out = [CheckResult("extinction", ratio, 1.0, ratio <= 1.0)]
+    if sc.extinction_coarse_step is not None:
+        pc, _ = extinction_frequency(sc.env, sc.x0, sc.t, sc.n_paths,
+                                     sc.sim_options(step=sc.extinction_coarse_step),
+                                     NoiseStream(sc.seed + 2))
+        bias_fine = abs(freq - p_pred)
+        bias_coarse = abs(pc - p_pred)
+        out.append(CheckResult("extinction-bias-monotone",
+                               bias_fine / bias_coarse if bias_coarse > 0 else 0.0,
+                               1.0, bias_fine <= bias_coarse))
+    return out
+
+
+def _functional(sc, ctx):
+    if sc.zeta is None:
+        return []
+    g, theta = sc.gates, 1.3
+    u0 = solve_functional(sc.env, WeightMeasure.zero(), sc.t, ctx.lam_ref).at(0.0)
+    v0 = solve_backward(sc.env, sc.t, ctx.lam_ref).at(0.0)
+    red = float(np.max(np.abs(u0 - v0)))
+    zt = WeightMeasure((_atoms((sc.t, theta)), _zero()))
+    w_term = solve_w(sc.env, zt, 0.0, sc.t)
+    v_term = solve_backward(sc.env, sc.t, (theta, 0.0)).at(0.0)
+    term = float(np.max(np.abs(w_term - v_term)))
+    w = solve_w(sc.env, sc.zeta, 0.0, sc.t)
+    pred = float(np.exp(-np.asarray(sc.x0) @ w))
+    est, se = mc_functional(sc.env, sc.x0, sc.zeta, 0.0, sc.t, sc.n_paths,
+                            sc.sim_options(), ctx.noise)
+    ratio = _gate_ratio(est - pred, se, g.mc_sigma, g.det_floor_coeff * sc.step,
+                        g.se_degenerate)
+    return [CheckResult("functional-reduction", red, g.reduction_tol, red <= g.reduction_tol),
+            CheckResult("functional-terminal-identity", term, g.terminal_identity_tol,
+                        term <= g.terminal_identity_tol),
+            CheckResult("functional-mc", ratio, 1.0, ratio <= 1.0)]
+
+
+# gate name -> gate of (scenario, context), in the order the gates run
+GATES = {"semigroup": _semigroup, "moment": _moment, "laplace": _laplace,
+         "comparison": _comparison, "truncation": _truncation,
+         "extinction": _extinction, "functional": _functional}
+
+
 def run_scenario(sc: Scenario) -> VerdictReport:
-    checks: list[CheckResult] = []
-    g = sc.gates
-    noise = NoiseStream(sc.seed)
     t_start = time.perf_counter()
-    with _Timer() as tm:
-        report = validate(sc.env)
-    checks.append(CheckResult("validation", float(len(report.violations)), 0.0,
-                              report.passed, tm.elapsed))
+    report = validate(sc.env)
+    checks = [CheckResult("validation", float(len(report.violations)), 0.0,
+                          report.passed, time.perf_counter() - t_start)]
     if not report.passed:
         return VerdictReport(sc.name, checks, False, time.perf_counter() - t_start)
-
     lam_ref = tuple(np.max(np.asarray(sc.lam_grid).reshape(-1, 2), axis=0)) \
         if sc.lam_grid else (1.0, 1.0)
-
-    if "semigroup" in sc.checks:
-        # 5x5 (r, s) grid with one outer solve and one inner solve per s
-        with _Timer() as tm:
-            worst = 0.0
-            outer = solve_backward(sc.env, sc.t, lam_ref)
-            for s in np.linspace(0.0, sc.t, 7)[1:-1]:
-                inner = _integrate_backward(sc.env, float(s), outer.at(float(s)),
-                                            None, r_end=0.0)
-                for r in np.linspace(0.0, s, 5):
-                    res = np.abs(outer.at(float(r)) - inner.at(float(r)))
-                    worst = max(worst, float(res.max()))
-        checks.append(CheckResult("semigroup", worst, g.semigroup_tol,
-                                  worst < g.semigroup_tol, tm.elapsed))
-
-    stats = None
-    need_mc = {"moment", "laplace", "comparison", "extinction"} & set(sc.checks)
-    if need_mc:
-        with _Timer() as tm:
-            stats = simulate_ensemble(sc.env, sc.x0, sc.t, sc.checkpoints,
-                                      sc.lam_grid, sc.n_paths, sc.sim_options(), noise)
-        mc_time = tm.elapsed
-
-    # sample-SE gates on the plain mean are only calibrated when the state
-    # has finite variance (uncapped power tails fail the second-moment
-    # condition; their mean identity is covered through the Laplace gates)
-    if "moment" in sc.checks and stats is not None and state_variance_finite(sc.env):
-        with _Timer() as tm:
-            curve = first_moment(sc.env, sc.x0, sc.t)
-            worst = 0.0
-            for a, cp in enumerate(stats.checkpoints):
-                exact = curve.at(float(cp))
-                for i in range(2):
-                    floor = g.moment_floor_coeff * sc.step * max(1.0, abs(exact[i]))
-                    worst = max(worst, _gate_ratio(stats.mean[a, i] - exact[i],
-                                                   stats.se_mean[a, i],
-                                                   g.moment_sigma, floor,
-                                                   g.se_degenerate))
-        checks.append(CheckResult("moment", worst, 1.0, worst <= 1.0,
-                                  tm.elapsed + mc_time))
-
-    if "laplace" in sc.checks and stats is not None and len(stats.lambdas):
-        with _Timer() as tm:
-            ratios, hard = [], []
-            floor = g.det_floor_coeff * sc.step
-            for a, cp in enumerate(stats.checkpoints):
-                for l, lam in enumerate(stats.lambdas):
-                    exact = laplace_transform(sc.env, sc.x0, 0.0, float(cp), lam)
-                    diff = stats.laplace[a, l] - exact
-                    se = stats.laplace_se[a, l]
-                    ratios.append(_gate_ratio(diff, se, g.mc_sigma, floor, g.se_degenerate))
-                    hard.append(_gate_ratio(diff, se, g.hard_sigma, floor, g.se_degenerate))
-            frac = float(np.mean([r <= 1.0 for r in ratios]))
-            worst_hard = float(max(hard))
-        checks.append(CheckResult("laplace-cells", frac, g.cell_pass_frac,
-                                  frac >= g.cell_pass_frac, tm.elapsed))
-        checks.append(CheckResult("laplace-hard-cap", worst_hard, 1.0,
-                                  worst_hard <= 1.0, 0.0))
-
-    if "comparison" in sc.checks:
-        diffusion_free = all(sc.env.c[i].is_zero for i in range(2))
-        if sc.coupled_pairs and diffusion_free:
-            with _Timer() as tm:
-                x_hi = sc.x0_high or tuple(np.asarray(sc.x0) + 1.0)
-                viol, _ = coupled_order_violations(
-                    sc.env, sc.x0, x_hi, sc.t, sc.coupled_pairs,
-                    sc.sim_options(), noise)
-            checks.append(CheckResult("comparison-pathwise", float(viol), 0.0,
-                                      viol == 0, tm.elapsed))
-        if sc.x0_high is not None and stats is not None and len(stats.lambdas):
-            with _Timer() as tm:
-                n_high = max(sc.n_paths // 4, 2)
-                high = simulate_ensemble(sc.env, sc.x0_high, sc.t, (sc.t,),
-                                         sc.lam_grid, n_high, sc.sim_options(),
-                                         NoiseStream(sc.seed + 1))
-                worst = -math.inf
-                for l in range(len(stats.lambdas)):
-                    pooled = math.hypot(stats.laplace_se[-1, l], high.laplace_se[-1, l])
-                    pooled = max(pooled, g.se_degenerate)
-                    worst = max(worst, (high.laplace[-1, l] - stats.laplace[-1, l]) / pooled)
-            checks.append(CheckResult("comparison-distributional", worst, g.mc_sigma,
-                                      worst <= g.mc_sigma, tm.elapsed))
-
-    if "truncation" in sc.checks and sc.truncation:
-        with _Timer() as tm:
-            v_full = solve_backward(sc.env, sc.t, lam_ref).at(0.0)
-            vs = []
-            for k in g.trunc_levels:
-                env_k = truncate_large_jumps(sc.env, k)
-                vs.append(solve_backward(env_k, sc.t, lam_ref).at(0.0))
-            min_incr = min(float(np.min(b - a)) for a, b in zip(vs, vs[1:]))
-            d_first = float(np.linalg.norm(vs[0] - v_full))
-            d_last = float(np.linalg.norm(vs[-1] - v_full))
-        checks.append(CheckResult("truncation-monotone", min_incr, 0.0,
-                                  min_incr >= -1e-9, tm.elapsed))
-        checks.append(CheckResult("truncation-converges",
-                                  d_last / d_first if d_first > 0 else 0.0,
-                                  1.0, d_last < d_first or d_first == 0.0, 0.0))
-
-    if "extinction" in sc.checks and stats is not None:
-        freq = float(stats.extinction[-1])
-        if sc.extinction_exact_one:
-            checks.append(CheckResult("extinction-exact", freq, 1.0, freq == 1.0, 0.0))
-        else:
-            with _Timer() as tm:
-                p_pred = extinction_prob(sc.env, sc.x0, sc.t)
-            se = math.sqrt(max(freq * (1.0 - freq), 0.0) / sc.n_paths)
-            floor = g.moment_floor_coeff * sc.step
-            ratio = _gate_ratio(freq - p_pred, se, g.extinction_sigma, floor,
-                                g.se_degenerate)
-            checks.append(CheckResult("extinction", ratio, 1.0, ratio <= 1.0,
-                                      tm.elapsed))
-            if sc.extinction_coarse_step is not None:
-                with _Timer() as tm:
-                    pc, _ = extinction_frequency(
-                        sc.env, sc.x0, sc.t, sc.n_paths,
-                        sc.sim_options(step=sc.extinction_coarse_step),
-                        NoiseStream(sc.seed + 2))
-                bias_fine = abs(freq - p_pred)
-                bias_coarse = abs(pc - p_pred)
-                checks.append(CheckResult(
-                    "extinction-bias-monotone",
-                    bias_fine / bias_coarse if bias_coarse > 0 else 0.0,
-                    1.0, bias_fine <= bias_coarse, tm.elapsed))
-
-    if "functional" in sc.checks and sc.zeta is not None:
-        with _Timer() as tm:
-            u0 = solve_functional(sc.env, WeightMeasure.zero(), sc.t, lam_ref).at(0.0)
-            v0 = solve_backward(sc.env, sc.t, lam_ref).at(0.0)
-            red = float(np.max(np.abs(u0 - v0)))
-        checks.append(CheckResult("functional-reduction", red, g.reduction_tol,
-                                  red <= g.reduction_tol, tm.elapsed))
-        with _Timer() as tm:
-            theta = 1.3
-            zt = WeightMeasure((
-                SignedMeasure1D(Density.zero(), ((sc.t, theta),)),
-                SignedMeasure1D.zero()))
-            w_term = solve_w(sc.env, zt, 0.0, sc.t)
-            v_term = solve_backward(sc.env, sc.t, (theta, 0.0)).at(0.0)
-            term = float(np.max(np.abs(w_term - v_term)))
-        checks.append(CheckResult("functional-terminal-identity", term,
-                                  g.terminal_identity_tol,
-                                  term <= g.terminal_identity_tol, tm.elapsed))
-        with _Timer() as tm:
-            w = solve_w(sc.env, sc.zeta, 0.0, sc.t)
-            pred = float(np.exp(-np.asarray(sc.x0) @ w))
-            est, se = mc_functional(sc.env, sc.x0, sc.zeta, 0.0, sc.t,
-                                    sc.n_paths, sc.sim_options(), noise)
-            floor = g.det_floor_coeff * sc.step
-            ratio = _gate_ratio(est - pred, se, g.mc_sigma, floor, g.se_degenerate)
-        checks.append(CheckResult("functional-mc", ratio, 1.0, ratio <= 1.0,
-                                  tm.elapsed))
-
+    ctx, skipped = _Context(sc, NoiseStream(sc.seed), lam_ref), []
+    for name, gate in GATES.items():
+        if name not in sc.checks:
+            continue
+        t0, built = time.perf_counter(), ctx.ensemble_s
+        out = gate(sc, ctx)
+        results = [r for r in out if isinstance(r, CheckResult)]
+        skipped += [r for r in out if isinstance(r, Skip)]
+        if results:  # the gate's time, less an ensemble it built, goes on its first check
+            results[0].runtime = time.perf_counter() - t0 - (ctx.ensemble_s - built)
+        checks += results
     return VerdictReport(sc.name, checks, all(c.passed for c in checks),
-                         time.perf_counter() - t_start)
+                         time.perf_counter() - t_start, skipped)
 
 
 def run_suite(scenarios=None, threads: int | None = None):
@@ -323,12 +328,7 @@ def run_suite(scenarios=None, threads: int | None = None):
 # -- the built-in suite -------------------------------------------------------
 
 
-def _const(v: float) -> SignedMeasure1D:
-    return SignedMeasure1D.const(v)
-
-
-def _zero() -> SignedMeasure1D:
-    return SignedMeasure1D.zero()
+_const, _zero = SignedMeasure1D.const, SignedMeasure1D.zero
 
 
 def _atoms(*pairs) -> SignedMeasure1D:

@@ -259,3 +259,35 @@ def test_verify_scenario_honours_run_options():
     assert sc.small_jump_eps == 0.05
     assert sc.x0_high == (2.0, 0.0)
     assert sc.coupled_pairs == 50 and sc.truncation is True
+
+
+FELLER = Path(__file__).resolve().parents[1] / "configs" / "feller.json"
+
+
+def test_verify_scenario_checkpoints_default_to_run_t(tmp_path, capsys):
+    cfg = json.loads(FELLER.read_text())
+    cfg["run"].update(t=0.5, paths=500, step=1e-2)
+    del cfg["run"]["checkpoints"]
+    assert _scenario_from_config(cfg).checkpoints == (0.5,)
+    p = tmp_path / "short.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["simulate", str(p), "--out", str(tmp_path / "sim.csv")]) == 0
+    code = main(["verify", "--scenario", str(p), "--threads", "1",
+                 "--out", str(tmp_path / "report.json")])
+    assert code == 0, capsys.readouterr().err
+
+
+def test_cli_simulate_checkpoint_past_t_is_a_usage_error(capsys):
+    assert main(["simulate", str(FELLER), "--t", "0.5", "--paths", "16"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bibranch: checkpoint 1.0 outside [0.0, 0.5]")
+
+
+def test_cli_verify_reports_skips_on_stderr(tmp_path, capsys):
+    cfg = json.loads((FELLER.parent / "stable_jump.json").read_text())
+    cfg["run"].update(paths=500, t=0.5, checkpoints=[0.5])
+    p = tmp_path / "stable.json"
+    p.write_text(json.dumps(cfg))
+    main(["verify", "--scenario", str(p), "--threads", "1", "--out", str(tmp_path / "r.json")])
+    line = capsys.readouterr().err.strip().splitlines()[-1]
+    assert line.endswith("s; skipped moment: state variance infinite (uncapped power tail))")

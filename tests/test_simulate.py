@@ -391,3 +391,11 @@ def test_negative_start_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         coupled_order_violations(env, (-0.5, 0.0), (1.0, 0.0), 0.1, 10,
                                  SimOptions(step=1e-2), NoiseStream(43))
+
+
+def test_checkpoint_outside_the_horizon_is_a_value_error():
+    env, opts = make_env(), SimOptions(step=1e-2)
+    with pytest.raises(ValueError, match=r"checkpoint 1.0 outside \[0.0, 0.5\]"):
+        simulate_ensemble(env, (1.0, 0.5), 0.5, (0.5, 1.0), [], 16, opts, NoiseStream(5))
+    with pytest.raises(ValueError, match=r"checkpoint 0.1 outside \[0.2, 0.5\]"):
+        simulate_ensemble(env, (1.0, 0.5), 0.5, (0.1,), [], 16, opts, NoiseStream(5), t0=0.2)

@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import time
 
+from bibranch import verify
 from bibranch.verify import (
     GateConfig,
     Scenario,
+    Skip,
     reports_to_json,
     run_scenario,
     run_suite,
@@ -11,7 +14,7 @@ from bibranch.verify import (
 )
 from bibranch.environment import validate
 
-from conftest import atoms_only, make_env
+from conftest import atoms_only, const, make_env
 
 
 def test_suite_is_large_enough_and_valid():
@@ -38,8 +41,7 @@ def test_adversarial_delta_fails_validation_and_skips_rest():
 def _tiny_scenario(seed=5):
     return Scenario(
         name="tiny-feller",
-        env=make_env(b11=__import__("conftest").const(1.0),
-                     c1=__import__("conftest").const(0.5)),
+        env=make_env(b11=const(1.0), c1=const(0.5)),
         x0=(1.0, 0.0), t=0.5, checkpoints=(0.25, 0.5),
         lam_grid=((1.0, 0.0), (2.0, 0.0)), n_paths=4000, seed=seed, step=2e-3,
         x0_high=(2.0, 0.0), extinction_coarse_step=4e-2)
@@ -77,6 +79,7 @@ def test_zero_env_scenario_passes_all_gates():
     names = {c.name for c in rep.checks}
     assert {"validation", "semigroup", "moment", "laplace-cells",
             "comparison-pathwise", "extinction"} <= names
+    assert rep.skipped == []
 
 
 def test_gate_thresholds_live_in_config():
@@ -86,3 +89,49 @@ def test_gate_thresholds_live_in_config():
     rep = run_scenario(sc)
     semi = next(c for c in rep.checks if c.name == "semigroup")
     assert not semi.passed  # absurd tolerance flips the verdict, code unchanged
+
+
+def test_stable_jump_skips_only_the_moment_gate():
+    sc = next(s for s in suite() if s.name == "stable-jump")
+    rep = run_scenario(dataclasses.replace(sc, n_paths=2000))
+    assert rep.skipped == [Skip("moment", "state variance infinite (uncapped power tail)")]
+    assert "moment" not in {c.name for c in rep.checks}
+
+
+def test_pathwise_comparison_on_diffusion_is_a_skip():
+    sc = dataclasses.replace(_tiny_scenario(), x0_high=None, coupled_pairs=10,
+                             checks=("validation", "comparison"))
+    rep = run_scenario(sc)
+    assert [s.check for s in rep.skipped] == ["comparison-pathwise"]
+    assert [c.name for c in rep.checks] == ["validation"]
+
+
+def test_ensemble_time_is_booked_to_no_gate(monkeypatch):
+    inner = verify.simulate_ensemble
+
+    def slow(*a, **k):
+        time.sleep(0.3)
+        return inner(*a, **k)
+
+    monkeypatch.setattr(verify, "simulate_ensemble", slow)
+    sc = dataclasses.replace(_tiny_scenario(), x0_high=None, checks=("validation", "moment"))
+    rep = run_scenario(sc)
+    moment = next(c for c in rep.checks if c.name == "moment")
+    assert moment.runtime < 0.3 <= rep.runtime
+
+
+def test_ensemble_is_built_only_when_a_gate_reads_it(monkeypatch):
+    calls = []
+    inner = verify.simulate_ensemble
+
+    def counting(*a, **k):
+        calls.append(a)
+        return inner(*a, **k)
+
+    monkeypatch.setattr(verify, "simulate_ensemble", counting)
+    sc = Scenario(name="pairs-only", env=make_env(b11=const(0.5)), x0=(1.0, 0.0), t=0.5,
+                  checkpoints=(0.5,), lam_grid=((1.0, 0.0),), n_paths=100, seed=3,
+                  step=1e-2, coupled_pairs=20, checks=("validation", "comparison"))
+    rep = run_scenario(sc)
+    assert [c.name for c in rep.checks] == ["validation", "comparison-pathwise"]
+    assert calls == []
