@@ -87,19 +87,24 @@ def cmd_validate(args):
     return 0 if report.passed else VALIDATION_ERROR
 
 
+def _write_backward_grid(path, sol, name):
+    """CSV of a backward solution, latest time first, with both one-sided values."""
+    ts, vs, is_atom, left = sol.grid()
+    rows = [
+        [f"{r:.12g}", f"{v[0]:.12g}", f"{v[1]:.12g}", int(a), f"{lv[0]:.12g}", f"{lv[1]:.12g}"]
+        for r, v, a, lv in zip(ts[::-1], vs[::-1], is_atom[::-1], left[::-1])
+    ]
+    _write_csv(path, ["r", f"{name}1", f"{name}2", "is_atom", f"{name}1_left", f"{name}2_left"],
+               rows)
+
+
 def cmd_cumulant(args):
     env, run, _ = _load_env(args)
     if not _check_env(env, quiet=True):
         return VALIDATION_ERROR
     t = float(_run_value(args, run, "t", env.horizon))
     lam = args.lam if args.lam is not None else tuple(run.get("lambda", (1.0, 1.0)))
-    sol = solve_backward(env, t, lam)
-    ts, vs, is_atom, left = sol.grid()
-    rows = [
-        [f"{r:.12g}", f"{v[0]:.12g}", f"{v[1]:.12g}", int(a), f"{lv[0]:.12g}", f"{lv[1]:.12g}"]
-        for r, v, a, lv in zip(ts[::-1], vs[::-1], is_atom[::-1], left[::-1])
-    ]
-    _write_csv(args.out, ["r", "v1", "v2", "is_atom", "v1_left", "v2_left"], rows)
+    _write_backward_grid(args.out, solve_backward(env, t, lam), "v")
     return 0
 
 
@@ -201,13 +206,7 @@ def cmd_functional(args):
     t = float(_run_value(args, run, "t", env.horizon))
     r = float(args.r)
     lam = args.lam if args.lam is not None else (0.0, 0.0)
-    sol = solve_functional(env, zeta, t, lam)
-    ts, vs, is_atom, left = sol.grid()
-    rows = [
-        [f"{rr:.12g}", f"{v[0]:.12g}", f"{v[1]:.12g}", int(a), f"{lv[0]:.12g}", f"{lv[1]:.12g}"]
-        for rr, v, a, lv in zip(ts[::-1], vs[::-1], is_atom[::-1], left[::-1])
-    ]
-    _write_csv(args.out, ["r", "u1", "u2", "is_atom", "u1_left", "u2_left"], rows)
+    _write_backward_grid(args.out, solve_functional(env, zeta, t, lam), "u")
     w = solve_w(env, zeta, r, t)
     print(f"w({r:g},{t:g}) = {w[0]:.12g},{w[1]:.12g}", file=sys.stderr)
     if args.mc:

@@ -9,9 +9,14 @@ ODE driven by the density parts of the environment,
 integrated from the terminal condition v(t) = lambda downward; the hard mesh
 points (``EnvSpec.hard_points``: every atom time and density breakpoint) are
 never stepped across.  At an atom time s the left limit follows the
-closed-form jump map (fully compensated exponent K):
+closed-form jump map, ``AtomInfo.cumulant_map``, in its cancellation-free
+form (delta_i = db_ii plus the own-coordinate mass of the m_i atoms):
 
-    v_left_i = v_i (1 - db_ii) + v_j dbar_ij - integral K(v, z) m_i({s}, dz).
+    v_left_i = v_i (1 - delta_i) + v_j db_ij + integral (1 - e^{-<v, z>}) m_i({s}, dz).
+
+Every term is nonnegative, so small arguments keep full relative precision,
+and the same form maps infinite arguments (0 * inf = 0).  One negativity
+rule (``_clip_negative``) guards atom maps and pieces alike.
 
 The result is a :class:`PiecewiseSolution`: dense pieces joined by atom
 jumps.  The forward mean system of :mod:`bibranch.moments` has the same
@@ -29,9 +34,8 @@ there (Grey's condition): diffusion c_i v_i^2 (beta = 2) or a power-tail jump
 component k v_i^alpha (beta = alpha).  It is then integrated in
 y = v^(1 - beta), where the blow-up is a regular ODE.  Without such a term,
 or when fed through a positive cross drift by a component that stays
-infinite, it stays infinite on the piece.  Atoms map infinite arguments
-through the cancellation-free form of the jump map with 0 * inf = 0, so a
-full bottleneck returns a finite value exactly.
+infinite, it stays infinite on the piece.  Across an atom a full bottleneck
+(delta_i = 1) returns a finite value exactly.
 """
 
 from __future__ import annotations
@@ -161,54 +165,27 @@ class PiecewiseSolution:
         return ts, vs, is_atom, left
 
 
-def _atom_step_core(info, v_right):
-    """Closed-form left limit across one atom, argument already zeta-shifted."""
-    v = np.maximum(np.asarray(v_right, dtype=float), 0.0)
-    out = np.empty(2)
-    for i in range(2):
-        j = 1 - i
-        k_term = sum(meas.full_exponent(v) for meas in info.jumps[i])
-        out[i] = v[i] * (1.0 - info.db[i][i]) + v[j] * info.dbar(i, j) - k_term
-    return out
+def _clip_negative(v, tol: float, where: str) -> np.ndarray:
+    """The one negativity rule: zero round-off below 0, reject a deficit beyond tol."""
+    if np.any(v < -tol):
+        raise SolverError(f"negative-value at {where}: {v} (delta constraint violated "
+                          "or tolerances too loose)")
+    return np.maximum(v, 0.0)
 
 
-def _atom_step_limit(info, v):
-    """Left limit across one atom for an argument with infinite entries.
-
-    Cancellation-free form of the jump map, every term nonnegative:
-
-        v_left_i = v_i (1 - delta_i) + v_j db_ij + integral (1 - e^{-<v, z>}) m_i({s}, dz),
-
-    with 0 * inf = 0, so a full bottleneck (delta_i = 1, to the validation
-    tolerance) maps infinity to a finite value exactly.
-    """
-    def times(x, k):
-        return x * k if k else 0.0
-
-    out = np.empty(2)
-    for i in range(2):
-        j = 1 - i
-        keep = 1.0 - info.db[i][i] - sum(meas.mean(i) for meas in info.jumps[i])
-        if keep < -1e-12:
-            raise SolverError(f"negative-left-value at t={info.time:g}: delta_{i + 1} > 1")
-        out[i] = (times(v[i], keep if keep > 1e-12 else 0.0) + times(v[j], info.db[i][j])
-                  + sum(meas.laplace_gap(v) for meas in info.jumps[i]))
-    return out
+def _neg_tol(v, opts: SolverOptions) -> float:
+    """Round-off allowance below zero, scaled by the largest finite entry of v."""
+    return max(100.0 * opts.abs_tol, 1e-10) * (
+        1.0 + float(np.max(v, where=np.isfinite(v), initial=0.0)))
 
 
 def atom_step(env: EnvSpec, s: float, v_right) -> np.ndarray:
     """Map the right value v_{s,t} to the left limit v_{s-,t} across atom s."""
+    v = np.maximum(np.asarray(v_right, dtype=float), 0.0)
     info = atom_info(env, s)
-    v = np.asarray(v_right, dtype=float)
     if info is None:
-        return v.copy()
-    out = _atom_step_core(info, v)
-    neg_tol = 1e-9 * (1.0 + float(np.max(v)))
-    if np.any(out < -neg_tol):
-        raise SolverError(
-            f"negative-left-value at t={s:g}: {out} (delta constraint violated?)"
-        )
-    return np.maximum(out, 0.0)
+        return v
+    return _clip_negative(info.cumulant_map(v), _neg_tol(v, DEFAULT_OPTIONS), f"t={s:g}")
 
 
 class _DenseSegment:
@@ -369,9 +346,7 @@ def _piece_from_infinity(env, rhs, lo, hi, v, opts, neg_tol):
     v_new = to_v(sol.y[:, -1])
     if any(math.isinf(v_new[i]) for i in blow):
         raise SolverError(f"unresolved-blow-up on [{lo:g}, {hi:g}]: {v_new}")
-    if np.any(v_new < -neg_tol):
-        raise SolverError(f"negative-value at r={lo:g}: {v_new} (check tolerances or environment)")
-    v_new = np.maximum(v_new, 0.0)
+    v_new = _clip_negative(v_new, neg_tol, f"r={lo:g}")
     return (lo, hi, _DenseSegment(sol, to_v), v_new, v.copy()), v_new
 
 
@@ -392,22 +367,14 @@ def _integrate_backward(env, t, lam, opts, zeta=None, r_end=0.0):
     v = lam.copy()
     segments = []
     atom_values = {}
-    neg_tol = max(100.0 * opts.abs_tol, 1e-10) * (
-        1.0 + float(np.max(lam, where=np.isfinite(lam), initial=0.0)))
+    neg_tol = _neg_tol(lam, opts)
 
     def apply_atom(s, v_right):
         vr = np.maximum(v_right, 0.0)
         shifted = vr + zeta.atom_vector(s) if zeta is not None else vr
         info = atom_info(env, s)
-        if info is None:
-            v_left = shifted
-        elif np.all(np.isfinite(shifted)):
-            v_left = _atom_step_core(info, shifted)
-        else:
-            v_left = _atom_step_limit(info, shifted)
-        if np.any(v_left < -neg_tol):
-            raise SolverError(f"negative-left-value at t={s:g}: {v_left}")
-        v_left = np.maximum(v_left, 0.0)
+        v_left = shifted if info is None else _clip_negative(
+            info.cumulant_map(shifted), neg_tol, f"t={s:g}")
         atom_values[s] = (v_left.copy(), vr.copy())
         return v_left
 
@@ -426,13 +393,9 @@ def _integrate_backward(env, t, lam, opts, zeta=None, r_end=0.0):
             segments.append(segment)
         else:
             sol = _solve_piece(rhs, hi, lo, v, opts)
-            v_new = sol.y[:, -1]
-            if np.any(v_new < -neg_tol):
-                raise SolverError(
-                    f"negative-value at r={lo:g}: {v_new} (check tolerances or environment)"
-                )
-            segments.append((lo, hi, _DenseSegment(sol), np.maximum(v_new, 0.0), v.copy()))
-            v = np.maximum(v_new, 0.0)
+            v_new = _clip_negative(sol.y[:, -1], neg_tol, f"r={lo:g}")
+            segments.append((lo, hi, _DenseSegment(sol), v_new, v.copy()))
+            v = v_new
         if lo in atom_set:
             v = apply_atom(lo, v)
 

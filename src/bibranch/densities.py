@@ -171,9 +171,6 @@ class SignedMeasure1D:
     def is_zero(self) -> bool:
         return self.density.is_zero and not self.atoms
 
-    def density_at(self, t):
-        return self.density(t)
-
     def atom_mass(self, t: float) -> float:
         return self._atom_map.get(t, 0.0)
 

@@ -127,15 +127,48 @@ class EnvSpec:
 
 @dataclass(frozen=True)
 class AtomInfo:
-    """Everything carried by one environment atom time."""
+    """Everything carried by one environment atom time, and its jump maps.
+
+    ``delta[i]``, the atom strength Delta b_ii plus the own-coordinate mass of
+    the m_i atoms, is computed once here for the cumulant, mean and path maps.
+    """
 
     time: float
     db: tuple  # 2x2 floats, db[i][j] = Delta b_ij(time)
     jumps: tuple  # per kernel: tuple of spatial measures with an atom here
+    delta: tuple = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "delta", tuple(
+            self.db[i][i] + sum(meas.mean(i) for meas in self.jumps[i]) for i in range(2)))
 
     def dbar(self, i: int, j: int) -> float:
         """Delta of the augmented cross drift: Delta b_ij + z_j-moment of m_i atoms."""
         return self.db[i][j] + sum(meas.mean(j) for meas in self.jumps[i])
+
+    def mean_map(self, m) -> np.ndarray:
+        """Mean after the atom from the mean m before it: M_i (1 - db_ii) + M_j dbar_ji."""
+        return np.array([m[i] * (1.0 - self.db[i][i]) + m[1 - i] * self.dbar(1 - i, i)
+                         for i in range(2)])
+
+    def cumulant_map(self, v) -> np.ndarray:
+        """Cumulant left limit from its right value v, in the cancellation-free form
+
+            v_left_i = v_i (1 - delta_i) + v_j db_ij + integral (1 - e^{-<v, z>}) m_i({s}, dz)
+
+        for finite and infinite v alike: 0 * inf = 0, and |1 - delta_i| <= 1e-12
+        (the validation tolerance) counts as 0.  A delta_i above it gives a
+        negative entry for the caller to reject.
+        """
+        out = np.empty(2)
+        for i in range(2):
+            j = 1 - i
+            keep = 1.0 - self.delta[i]
+            keep = keep if abs(keep) > 1e-12 else 0.0
+            cross = self.db[i][j]
+            out[i] = ((v[i] * keep if keep else 0.0) + (v[j] * cross if cross else 0.0)
+                      + sum(meas.laplace_gap(v) for meas in self.jumps[i]))
+        return out
 
 
 def atom_info(env: EnvSpec, s: float):
@@ -149,10 +182,8 @@ def atom_info(env: EnvSpec, s: float):
 
 def delta(env: EnvSpec, i: int, t: float) -> float:
     """Atom strength Delta b_ii(t) plus own-coordinate mass of m_i at t."""
-    d = env.b[i][i].atom_mass(t)
-    for meas in env.m[i].atoms_at(t):
-        d += meas.mean(i)
-    return d
+    info = atom_info(env, t)
+    return 0.0 if info is None else info.delta[i]
 
 
 def bar_b(env: EnvSpec, j: int, i: int) -> SignedMeasure1D:

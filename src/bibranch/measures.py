@@ -95,6 +95,11 @@ class Dirac:
         return {"kind": "dirac", "z": list(self.z), "weight": self.weight}
 
 
+def _gap_factor(lam: float, theta: float) -> float:
+    """lam / (theta + lam), one minus an exponential Laplace factor; 1 at lam = inf."""
+    return 1.0 if lam == math.inf else lam / (theta + lam)
+
+
 @dataclass(frozen=True)
 class ExpProduct:
     """Product-exponential density w * t1 * t2 * exp(-t1 z1 - t2 z2) on R_+^2."""
@@ -128,8 +133,13 @@ class ExpProduct:
         return self.weight * (self._laplace(l1, l2) - 1.0 + l1 / self.theta1 + l2 / self.theta2)
 
     def laplace_gap(self, lam) -> float:
-        """integral of (1 - exp(-<lam, z>)) nu(dz); lam may hold inf."""
-        return self.weight * (1.0 - self._laplace(*_as_pair(lam)))
+        """integral of (1 - exp(-<lam, z>)) nu(dz); lam may hold inf.
+
+        Cancellation-free: w (a1 + L1 a2) with a_k = 1 - L_k = lam_k / (theta_k + lam_k).
+        """
+        l1, l2 = _as_pair(lam)
+        return self.weight * (_gap_factor(l1, self.theta1)
+                              + self.theta1 / (self.theta1 + l1) * _gap_factor(l2, self.theta2))
 
     def sample(self, rng, n: int) -> np.ndarray:
         return np.column_stack(
@@ -303,9 +313,15 @@ class CappedExpProduct:
         return self.weight * (prod - 1.0 + l1 * self._m1(self.theta1) + l2 * self._m1(self.theta2))
 
     def laplace_gap(self, lam) -> float:
-        """integral of (1 - exp(-<lam, z>)) nu(dz); lam may hold inf."""
-        l1, l2 = _as_pair(lam)
-        return self.weight * (1.0 - self._l1(l1, self.theta1) * self._l1(l2, self.theta2))
+        """integral of (1 - exp(-<lam, z>)) nu(dz); lam may hold inf.
+
+        w (a1 + L1 a2) as for :class:`ExpProduct`, with the capped
+        a_k = lam_k / (theta_k + lam_k) (1 - exp(-(theta_k + lam_k) cap)).
+        """
+        (l1, l2), c = _as_pair(lam), self.cap
+        a1 = _gap_factor(l1, self.theta1) * -math.expm1(-(self.theta1 + l1) * c)
+        a2 = _gap_factor(l2, self.theta2) * -math.expm1(-(self.theta2 + l2) * c)
+        return self.weight * (a1 + self._l1(l1, self.theta1) * a2)
 
     def sample(self, rng, n: int) -> np.ndarray:
         z = np.column_stack(

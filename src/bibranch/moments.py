@@ -6,7 +6,9 @@ The mean M(t) = E X(t) solves the linear measure-driven system
     M_i(s) = M_i(s-) (1 - db_ii(s)) + M_j(s-) dbar_ji(s)    at atoms,
 
 where bar_b augments the cross drift with the cross first moment of the jump
-kernel (compensated own-kernel jumps drop out of the mean).  It is integrated
+kernel (compensated own-kernel jumps drop out of the mean).  The atom update
+is ``AtomInfo.mean_map``, built from the same atom data as the cumulant's
+jump map and the path engine's branching update.  It is integrated
 forward between the hard points of ``EnvSpec.hard_points`` with the
 cumulant's piece solver, and returned as the same
 :class:`~bibranch.cumulant.PiecewiseSolution` as the backward cumulant: the
@@ -63,13 +65,10 @@ def first_moment(env: EnvSpec, x0, t: float, opts: SolverOptions | None = None) 
         sol = _solve_piece(rhs, lo, hi, m, opts)
         m = sol.y[:, -1]
         segments.append((lo, hi, _DenseSegment(sol), None, None))
-        if hi in atom_set:
-            info = atom_info(env, hi)
+        info = atom_info(env, hi) if hi in atom_set else None
+        if info is not None:
             m_left = m.copy()
-            m = np.array([
-                m_left[0] * (1.0 - info.db[0][0]) + m_left[1] * info.dbar(1, 0),
-                m_left[1] * (1.0 - info.db[1][1]) + m_left[0] * info.dbar(0, 1),
-            ])
+            m = info.mean_map(m_left)
             if np.any(m < -1e-9 * (1 + np.max(np.abs(m_left)))):
                 raise SolverError(f"negative mean after atom at t={hi:g}: {m}")
             m = np.maximum(m, 0.0)

@@ -17,9 +17,14 @@ one Poisson total per channel and step, each event assigned to a path in
 proportion to its rate, so the per-path counts are exactly independent.
 Power-tail components are split at a threshold eps: exact thinning above, and
 below either the compensated remainder is dropped or replaced by a
-variance-matched Gaussian.  At atom times the branching update is exact:
+variance-matched Gaussian.  At atom times the branching update is exact,
+read from the atom's ``AtomInfo`` (its strengths delta_i, the raw cross
+masses db_ji and the jump atoms), the same data as the cumulant's and the
+mean's jump maps:
 
-    X_i(s) = X_i(s-) (1 - delta_i(s)) + X_j(s-) db_ji(s) + Poisson sums.
+    X_i(s) = X_i(s-) (1 - delta_i(s)) + X_j(s-) db_ji(s) + Poisson sums,
+
+where path i draws Poisson(X_p,i(s-) * mass) marks of each jump atom of m_p.
 
 States are clamped at zero after every step; extinction is exact membership
 of the origin.
@@ -42,7 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .densities import Density, SignedMeasure1D
-from .environment import EnvSpec, JumpKernel, atom_info, validate
+from .environment import AtomInfo, EnvSpec, JumpKernel, atom_info, validate
 from .noise import NoiseStream
 
 __all__ = [
@@ -134,22 +139,6 @@ class _Channel:
     sample: object  # callable (rng, n) -> (n, 2) normalized draws
 
 
-@dataclass
-class _AtomRand:
-    keep: tuple  # 1 - delta_i
-    cross: tuple  # raw cross atom masses feeding type i from type j
-    jumps: tuple  # (p, mass, sampler) triples
-
-    @classmethod
-    def from_info(cls, info) -> "_AtomRand":
-        return cls(
-            tuple(1.0 - (info.db[i][i] + sum(m.mean(i) for m in info.jumps[i]))
-                  for i in range(2)),
-            tuple(info.db[1 - i][i] for i in range(2)),
-            tuple((p, meas.mass(), meas.sample) for p in range(2) for meas in info.jumps[p]),
-        )
-
-
 class _StepPlan:
     def __init__(self, env: EnvSpec, t0: float, t: float, opts: SimOptions,
                  checkpoints=(), zeta=None):
@@ -200,8 +189,7 @@ class _StepPlan:
         self.gvar_dt = tuple(gvar[i] * self.dts for i in range(2))
 
         atom_times = set(env.atom_times(t0, t))
-        self.atom_at = {k: _AtomRand.from_info(atom_info(env, s))
-                        for k, s in enumerate(self.mesh) if s in atom_times}
+        self.atom_at = {k: atom_info(env, s) for k, s in enumerate(self.mesh) if s in atom_times}
 
         self.index_of = {float(s): k for k, s in enumerate(self.mesh)}
         self.zeta = zeta
@@ -324,11 +312,12 @@ def _euler_step(plan: _StepPlan, k: int, X: np.ndarray, rng, src) -> np.ndarray:
     return np.column_stack([new0, new1])
 
 
-def _atom_apply(atom: _AtomRand, X: np.ndarray, rng, src=_INDEPENDENT) -> np.ndarray:
-    new0 = X[:, 0] * atom.keep[0] + X[:, 1] * atom.cross[0]
-    new1 = X[:, 1] * atom.keep[1] + X[:, 0] * atom.cross[1]
-    for p, mass, sampler in atom.jumps:
-        src.jumps(rng, mass, X[:, p], sampler, math.inf, new0, new1)
+def _atom_apply(atom: AtomInfo, X: np.ndarray, rng, src=_INDEPENDENT) -> np.ndarray:
+    new0 = X[:, 0] * (1.0 - atom.delta[0]) + X[:, 1] * atom.db[1][0]
+    new1 = X[:, 1] * (1.0 - atom.delta[1]) + X[:, 0] * atom.db[0][1]
+    for p in range(2):
+        for meas in atom.jumps[p]:
+            src.jumps(rng, meas.mass(), X[:, p], meas.sample, math.inf, new0, new1)
     np.maximum(new0, 0.0, out=new0)
     np.maximum(new1, 0.0, out=new1)
     return np.column_stack([new0, new1])
@@ -455,7 +444,7 @@ def simulate_atom(env: EnvSpec, s: float, x_left, noise) -> np.ndarray:
     if np.any(x < 0):
         raise ValueError("x_left must be componentwise nonnegative")
     info = atom_info(env, s)
-    out = x.copy() if info is None else _atom_apply(_AtomRand.from_info(info), x, rng)
+    out = x.copy() if info is None else _atom_apply(info, x, rng)
     return out[0] if np.ndim(x_left) == 1 else out
 
 

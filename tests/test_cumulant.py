@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from bibranch.densities import Density
 from bibranch.densities import SignedMeasure1D
 from bibranch.environment import JumpKernel
 from bibranch.measures import Dirac, StableAxis
-from bibranch.verify import feller_embed_env, stable_jump_env, suite
+from bibranch.verify import atom_rich_env, feller_embed_env, stable_jump_env, suite
 
 from conftest import atoms_only, const, feller_env, make_env, random_env
 
@@ -93,6 +94,44 @@ def test_atom_step_jump_only_hand_value():
     out = atom_step(env, 0.5, (1.0, 0.0))
     assert out[0] == pytest.approx(1.0 - 0.4 * math.exp(-1.0), rel=1e-12)
     assert out[1] == 0.0
+
+
+def _one_minus_exp_neg(x: Fraction, terms: int = 12) -> Fraction:
+    """1 - e^{-x} as an exact rational Taylor sum, for small x."""
+    acc, term = Fraction(0), Fraction(1)
+    for n in range(1, terms):
+        term *= x / n
+        acc += term if n % 2 else -term
+    return acc
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-9, 1e-12])
+def test_atom_step_keeps_relative_precision_at_small_lambda(lam):
+    # v (1 - delta) + w (1 - e^{-<v, z>}) against an exact rational reference;
+    # the compensated form v - w (e^{-<v, z>} - 1 + <v, z>) cancels here
+    w, z = 0.4, (1.0, 0.5)
+    env = make_env(m1=JumpKernel((), ((0.5, Dirac(z, w)),)))
+    out = atom_step(env, 0.5, (lam, lam))
+    v = Fraction(lam)
+    dot = v * Fraction(z[0]) + v * Fraction(z[1])
+    exact = v * (1 - Fraction(w) * Fraction(z[0])) + Fraction(w) * _one_minus_exp_neg(dot)
+    assert abs(Fraction(out[0]) - exact) <= Fraction(1e-14) * exact
+    assert out[1] == lam
+
+
+@pytest.mark.parametrize("lam", [(0.5, 0.25), (4.0, 2.0), (math.inf, math.inf)])
+def test_atom_step_is_the_solver_atom_map(lam):
+    # one map: the solver's left limits are atom_step of its own right values,
+    # bit for bit, for finite and infinite arguments alike
+    env = atom_rich_env()
+    sol = solve_backward(env, 1.0, lam)
+    for s in env.atom_times(0.0, 1.0):
+        right = sol.atom_values[s][1]
+        assert np.array_equal(atom_step(env, s, right), sol.left_at(s))
+        if np.all(np.isfinite(right)):
+            assert sol.at(s) == pytest.approx(right, rel=1e-12)
+        else:
+            assert np.array_equal(sol.at(s), right)
 
 
 def test_atom_step_positivity_guard():

@@ -80,14 +80,14 @@ def test_delta_hand_sum():
 def test_bar_b_zero_kernel_is_identity():
     env = make_env(b21=const(0.3))
     bb21 = bar_b(env, 1, 0)
-    assert bb21.density_at(0.5) == pytest.approx(0.3)
+    assert bb21.density(0.5) == pytest.approx(0.3)
     assert bb21.atoms == ()
 
 
 def test_bar_b_exponential_moment():
     env = make_env(m2=JumpKernel(((Density.constant(1.0), ExpProduct(2.0, 1.0, 1.0)),)))
     bb21 = bar_b(env, 1, 0)  # z_1 moment of m_2
-    assert bb21.density_at(0.7) == pytest.approx(0.5)
+    assert bb21.density(0.7) == pytest.approx(0.5)
 
 
 def test_bar_b_merges_atom_moments():
@@ -105,8 +105,8 @@ def test_bar_b_dominates_raw_cross(rng):
         for (j, i) in ((0, 1), (1, 0)):
             bb = bar_b(env, j, i)
             ts = np.linspace(0.0, 1.0, 9)
-            assert np.all(np.asarray(bb.density_at(ts))
-                          >= np.asarray(env.b[j][i].density_at(ts)) - 1e-12)
+            assert np.all(np.asarray(bb.density(ts))
+                          >= np.asarray(env.b[j][i].density(ts)) - 1e-12)
             for t, m in env.b[j][i].atoms:
                 assert bb.atom_mass(t) >= m - 1e-12
 

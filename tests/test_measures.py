@@ -7,6 +7,7 @@ run at much tighter tolerance than the assertion.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -229,3 +230,28 @@ def test_laplace_gap_is_mass_minus_laplace_transform():
         assert meas.laplace_gap((math.inf, 0.0)) == meas.mass()
     d = Dirac((0.7, 0.0), 0.8)
     assert d.laplace_gap((0.5, math.inf)) == pytest.approx(0.8 * -math.expm1(-0.35), rel=1e-15)
+
+
+def _exp_neg(y: Fraction, terms: int = 80) -> Fraction:
+    """e^{-y} as an exact rational Taylor sum (y of order 1)."""
+    acc, term = Fraction(0), Fraction(1)
+    for n in range(terms):
+        acc += term
+        term *= -y / (n + 1)
+    return acc
+
+
+def test_laplace_gap_keeps_relative_precision_at_small_lambda():
+    # w (1 - L1 L2) cancels at small lambda; the gap must not
+    lam = (1e-9, 1e-9)
+    l1, l2 = Fraction(lam[0]), Fraction(lam[1])
+    for meas in (ExpProduct(3.0, 2.0, 0.5), CappedExpProduct(3.0, 2.0, 0.7, 0.5)):
+        factors = []
+        for lk, th in ((l1, Fraction(meas.theta1)), (l2, Fraction(meas.theta2))):
+            f = th / (th + lk)
+            if isinstance(meas, CappedExpProduct):
+                e = _exp_neg((th + lk) * Fraction(meas.cap))
+                f = f * (1 - e) + e
+            factors.append(f)
+        exact = Fraction(meas.weight) * (1 - factors[0] * factors[1])
+        assert abs(Fraction(meas.laplace_gap(lam)) - exact) <= Fraction(1e-14) * exact

@@ -62,6 +62,12 @@ def test_atom_update_with_cross_and_jump_atoms():
     assert np.array_equal(vs[k], post)
 
 
+def test_zero_mass_atom_time_leaves_the_mean_alone():
+    env = make_env(b11=const(0.3) + atoms_only((0.5, 0.0)))
+    curve = first_moment(env, (1.0, 2.0), 1.0)
+    assert curve.at(1.0) == pytest.approx([math.exp(-0.3), 2.0], rel=1e-9)
+
+
 def test_bound_zero_env_is_initial_state():
     assert moment_bound(make_env(), (1.0, 2.0), 1.0) == pytest.approx([1.0, 2.0])
 

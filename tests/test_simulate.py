@@ -133,7 +133,7 @@ def test_truncate_dirac_adds_killing_drift():
     env = make_env(m1=JumpKernel(((Density.constant(1.0), Dirac((3.0, 0.0), 1.0)),)))
     out = truncate_large_jumps(env, 2.0)
     assert out.m[0].density_components[0][1].z == (2.0, 0.0)
-    assert out.b[0][0].density_at(0.4) == pytest.approx(1.0)  # (3-2) * rate * weight
+    assert out.b[0][0].density(0.4) == pytest.approx(1.0)  # (3-2) * rate * weight
     assert validate(out).passed
 
 
@@ -310,6 +310,12 @@ def test_event_paths_zero_state_gets_no_events():
     assert set(np.unique(idx).tolist()) == {1, 3}
     assert _event_paths(rng, 50.0, np.zeros(4)).size == 0
     assert _event_paths(rng, 50.0, np.zeros(0)).size == 0
+
+
+def test_zero_mass_atom_time_is_a_plain_mesh_point():
+    env = make_env(b11=const(0.3) + atoms_only((0.5, 0.0)))
+    traj = simulate_path(env, (1.0, 2.0), 1.0, SimOptions(step=1e-3), NoiseStream(0))
+    assert traj.states[-1] == pytest.approx([math.exp(-0.3), 2.0], rel=1e-3)
 
 
 def test_atom_zero_rows_stay_exactly_zero():
