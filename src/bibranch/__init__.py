@@ -21,7 +21,6 @@ from .cumulant import (
     LadderNotConverged,
     PiecewiseSolution,
     SolverError,
-    SolverOptions,
     atom_step,
     extinction_prob,
     laplace_transform,

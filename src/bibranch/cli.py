@@ -59,14 +59,11 @@ def _run_value(args, run, key, default):
     return run.get(key, default)
 
 
-def _check_env(env, quiet=False):
+def _check_env(env):
     report = validate(env)
     if not report.passed:
         print(report, file=sys.stderr)
-        return False
-    if not quiet:
-        print("environment OK", file=sys.stderr)
-    return True
+    return report.passed
 
 
 def _write_csv(path, header, rows):
@@ -100,7 +97,7 @@ def _write_backward_grid(path, sol, name):
 
 def cmd_cumulant(args):
     env, run, _ = _load_env(args)
-    if not _check_env(env, quiet=True):
+    if not _check_env(env):
         return VALIDATION_ERROR
     t = float(_run_value(args, run, "t", env.horizon))
     lam = args.lam if args.lam is not None else tuple(run.get("lambda", (1.0, 1.0)))
@@ -110,7 +107,7 @@ def cmd_cumulant(args):
 
 def cmd_moments(args):
     env, run, _ = _load_env(args)
-    if not _check_env(env, quiet=True):
+    if not _check_env(env):
         return VALIDATION_ERROR
     t = float(_run_value(args, run, "t", env.horizon))
     x0 = args.x0 if args.x0 is not None else tuple(run.get("x0", (1.0, 1.0)))
@@ -134,16 +131,24 @@ def _sim_options(args, run):
 
 
 def _lambda_grid(args, run):
-    if args.lambda_grid:
-        with open(args.lambda_grid, "r", encoding="utf-8") as fh:
-            return [tuple(float(x) for x in line.split(",")[:2])
-                    for line in fh if line.strip()]
-    return [tuple(l) for l in run.get("lambda_grid", [])]
+    if not args.lambda_grid:
+        return [tuple(l) for l in run.get("lambda_grid", [])]
+    grid = []
+    with open(args.lambda_grid, "r", encoding="utf-8") as fh:
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                grid.append(_parse_pair(line))
+            except (ValueError, argparse.ArgumentTypeError):
+                raise ValueError(f"{args.lambda_grid} line {n}: expected two comma-separated "
+                                 f"numbers, got {line.strip()!r}") from None
+    return grid
 
 
 def cmd_simulate(args):
     env, run, _ = _load_env(args)
-    if not _check_env(env, quiet=True):
+    if not _check_env(env):
         return VALIDATION_ERROR
     t = float(_run_value(args, run, "t", env.horizon))
     x0 = args.x0 if args.x0 is not None else tuple(run.get("x0", (1.0, 1.0)))
@@ -198,7 +203,7 @@ def cmd_simulate(args):
 
 def cmd_functional(args):
     env, run, zeta = _load_env(args, need_zeta=True)
-    if not _check_env(env, quiet=True):
+    if not _check_env(env):
         return VALIDATION_ERROR
     if zeta is None:
         print("config has no zeta block", file=sys.stderr)
@@ -221,7 +226,7 @@ def cmd_functional(args):
 
 def cmd_extinction(args):
     env, run, _ = _load_env(args)
-    if not _check_env(env, quiet=True):
+    if not _check_env(env):
         return VALIDATION_ERROR
     t = float(_run_value(args, run, "t", env.horizon))
     x0 = args.x0 if args.x0 is not None else tuple(run.get("x0", (1.0, 1.0)))
@@ -260,12 +265,24 @@ def _scenario_from_config(cfg) -> Scenario:
     )
 
 
+def _verify_threads(args) -> int:
+    """--threads, else a nonzero BIBRANCH_THREADS, else the CPU count."""
+    if args.threads is not None:
+        return args.threads
+    text = os.environ.get("BIBRANCH_THREADS") or "0"
+    try:
+        return int(text) or os.cpu_count() or 1
+    except ValueError:
+        raise ValueError(f"BIBRANCH_THREADS must be an integer, got {text!r}") from None
+
+
 def cmd_verify(args):
-    if args.scenario:
+    threads = _verify_threads(args)
+    if args.scenario is not None:
         scenarios = [_scenario_from_config(cfgmod.load_config(args.scenario))]
     else:
         scenarios = suite()
-    reports = run_suite(scenarios, threads=args.threads)
+    reports = run_suite(scenarios, threads=threads)
     text = reports_to_json(reports)
     if args.out in (None, "-"):
         print(text)
@@ -342,12 +359,11 @@ def build_parser() -> _Parser:
     q.set_defaults(func=cmd_extinction)
 
     q = sub.add_parser("verify", help="run cross-check scenarios")
-    q.add_argument("--suite", action="store_true", help="run the built-in suite")
-    q.add_argument("--scenario", help="run one scenario config (JSON)")
+    which = q.add_mutually_exclusive_group(required=True)
+    which.add_argument("--suite", action="store_true", help="run the built-in suite")
+    which.add_argument("--scenario", help="run one scenario config (JSON)")
     q.add_argument("--out", help="JSON report path (default stdout)")
     q.add_argument("--threads", type=int,
-                   default=int(os.environ.get("BIBRANCH_THREADS", "0"))
-                   or (os.cpu_count() or 1),
                    help="scenario worker threads (overrides env BIBRANCH_THREADS, "
                         "which sets the default; otherwise the CPU count)")
     q.set_defaults(func=cmd_verify)
@@ -356,10 +372,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify" and not args.suite and not args.scenario:
-        parser.error("verify needs --suite or --scenario FILE")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError,

@@ -21,7 +21,8 @@ rule (``_clip_negative``) guards atom maps and pieces alike.
 The result is a :class:`PiecewiseSolution`: dense pieces joined by atom
 jumps.  The forward mean system of :mod:`bibranch.moments` has the same
 shape, so it uses the same solution type and the same piece solver,
-``_solve_piece``, which is the only call of ``solve_ivp``.
+``_solve_piece``, which is the only call of ``solve_ivp`` and runs at one
+fixed tolerance set; the analytic entry points take no solver options.
 
 The same machinery solves the weight-shifted system for integral functionals
 (see :mod:`bibranch.functionals`), which adds an accumulation density and
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -52,7 +52,6 @@ from .environment import EnvSpec, atom_info
 from .measures import _stable_const
 
 __all__ = [
-    "SolverOptions",
     "SolverError",
     "LadderNotConverged",
     "PiecewiseSolution",
@@ -77,20 +76,8 @@ class LadderNotConverged(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Adaptive step control for the backward integrator."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_step: float = 0.1
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0 or self.max_step <= 0:
-            raise ValueError("tolerances and max_step must be positive")
-
-
-DEFAULT_OPTIONS = SolverOptions()
+# the one tolerance set of every piece solve, backward and forward alike
+_REL_TOL, _ABS_TOL, _MAX_STEP = 1e-10, 1e-12, 0.1
 
 
 class PiecewiseSolution:
@@ -173,10 +160,9 @@ def _clip_negative(v, tol: float, where: str) -> np.ndarray:
     return np.maximum(v, 0.0)
 
 
-def _neg_tol(v, opts: SolverOptions) -> float:
+def _neg_tol(v) -> float:
     """Round-off allowance below zero, scaled by the largest finite entry of v."""
-    return max(100.0 * opts.abs_tol, 1e-10) * (
-        1.0 + float(np.max(v, where=np.isfinite(v), initial=0.0)))
+    return 1e-10 * (1.0 + float(np.max(v, where=np.isfinite(v), initial=0.0)))
 
 
 def atom_step(env: EnvSpec, s: float, v_right) -> np.ndarray:
@@ -185,7 +171,7 @@ def atom_step(env: EnvSpec, s: float, v_right) -> np.ndarray:
     info = atom_info(env, s)
     if info is None:
         return v
-    return _clip_negative(info.cumulant_map(v), _neg_tol(v, DEFAULT_OPTIONS), f"t={s:g}")
+    return _clip_negative(info.cumulant_map(v), _neg_tol(v), f"t={s:g}")
 
 
 class _DenseSegment:
@@ -247,10 +233,10 @@ def _make_rhs(env: EnvSpec, zeta=None):
     return rhs
 
 
-def _solve_piece(fun, start, end, y0, opts):
+def _solve_piece(fun, start, end, y0):
     """Integrate one smooth piece from start to end, in either direction."""
-    sol = solve_ivp(fun, (start, end), y0, method="RK45", rtol=opts.rel_tol,
-                    atol=opts.abs_tol, max_step=opts.max_step, dense_output=True)
+    sol = solve_ivp(fun, (start, end), y0, method="RK45", rtol=_REL_TOL, atol=_ABS_TOL,
+                    max_step=_MAX_STEP, dense_output=True)
     if not sol.success:
         lo, hi = sorted((start, end))
         raise SolverError(f"nonconvergent-step on [{lo:g}, {hi:g}]: {sol.message}")
@@ -289,7 +275,7 @@ def _blow_up_order(env: EnvSpec, i: int, lo: float, hi: float):
     return beta, kappa
 
 
-def _piece_from_infinity(env, rhs, lo, hi, v, opts, neg_tol):
+def _piece_from_infinity(env, rhs, lo, hi, v, neg_tol):
     """Integrate one smooth piece entered with infinite components.
 
     A component is hot when it is infinite at hi, or fed there through a
@@ -342,7 +328,7 @@ def _piece_from_infinity(env, rhs, lo, hi, v, opts, neg_tol):
             out[i] = np.where(yi > floor[i], yi ** -power[i], math.inf)
         return out
 
-    sol = _solve_piece(fun, r0, lo, y0, opts)
+    sol = _solve_piece(fun, r0, lo, y0)
     v_new = to_v(sol.y[:, -1])
     if any(math.isinf(v_new[i]) for i in blow):
         raise SolverError(f"unresolved-blow-up on [{lo:g}, {hi:g}]: {v_new}")
@@ -350,10 +336,8 @@ def _piece_from_infinity(env, rhs, lo, hi, v, opts, neg_tol):
     return (lo, hi, _DenseSegment(sol, to_v), v_new, v.copy()), v_new
 
 
-def _integrate_backward(env, t, lam, opts, zeta=None, r_end=0.0):
+def _integrate_backward(env, t, lam, zeta=None, r_end=0.0):
     """Shared core for the cumulant and weighted-functional systems."""
-    if opts is None:
-        opts = DEFAULT_OPTIONS
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (2,) or np.any(lam < 0):
         raise ValueError("lambda must be a nonnegative 2-vector")
@@ -367,7 +351,7 @@ def _integrate_backward(env, t, lam, opts, zeta=None, r_end=0.0):
     v = lam.copy()
     segments = []
     atom_values = {}
-    neg_tol = _neg_tol(lam, opts)
+    neg_tol = _neg_tol(lam)
 
     def apply_atom(s, v_right):
         vr = np.maximum(v_right, 0.0)
@@ -389,10 +373,10 @@ def _integrate_backward(env, t, lam, opts, zeta=None, r_end=0.0):
             segments.append((lo, hi, None, np.zeros(2), np.zeros(2)))
             v = np.zeros(2)
         elif not np.all(np.isfinite(v)):
-            segment, v = _piece_from_infinity(env, rhs, lo, hi, v, opts, neg_tol)
+            segment, v = _piece_from_infinity(env, rhs, lo, hi, v, neg_tol)
             segments.append(segment)
         else:
-            sol = _solve_piece(rhs, hi, lo, v, opts)
+            sol = _solve_piece(rhs, hi, lo, v)
             v_new = _clip_negative(sol.y[:, -1], neg_tol, f"r={lo:g}")
             segments.append((lo, hi, _DenseSegment(sol), v_new, v.copy()))
             v = v_new
@@ -402,36 +386,39 @@ def _integrate_backward(env, t, lam, opts, zeta=None, r_end=0.0):
     return PiecewiseSolution(r_end, t, segments, atom_values, {t: lam})
 
 
-def solve_backward(env: EnvSpec, t: float, lam, opts: SolverOptions | None = None) -> PiecewiseSolution:
+def solve_backward(env: EnvSpec, t: float, lam) -> PiecewiseSolution:
     """Solve the backward cumulant system on [0, t] with terminal value lam.
 
     Entries of lam may be ``inf``; see :func:`v_infinity`.
     """
-    return _integrate_backward(env, t, lam, opts, zeta=None, r_end=0.0)
+    return _integrate_backward(env, t, lam)
 
 
-def laplace_transform(env: EnvSpec, x, r: float, t: float, lam,
-                      opts: SolverOptions | None = None) -> float:
-    """Transition-kernel Laplace transform exp(-<x, v_{r,t}(lam)>), with 0 * inf = 0."""
+def _nonnegative_x(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("x must be componentwise nonnegative")
-    sol = _integrate_backward(env, t, lam, opts, r_end=r)
+    if x.shape != (2,) or np.any(x < 0):
+        raise ValueError("x must be a nonnegative 2-vector")
+    return x
+
+
+def laplace_transform(env: EnvSpec, x, r: float, t: float, lam) -> float:
+    """Transition-kernel Laplace transform exp(-<x, v_{r,t}(lam)>), with 0 * inf = 0."""
+    x = _nonnegative_x(x)
+    sol = _integrate_backward(env, t, lam, r_end=r)
     return float(np.exp(-x @ np.where(x > 0, sol.at(r), 0.0)))
 
 
-def semigroup_check(env: EnvSpec, r: float, s: float, t: float, lam,
-                    opts: SolverOptions | None = None) -> np.ndarray:
+def semigroup_check(env: EnvSpec, r: float, s: float, t: float, lam) -> np.ndarray:
     """Componentwise flow-property residual |v_{r,t} - v_{r,s}(v_{s,t})|."""
     if not (r <= s <= t):
         raise ValueError("need r <= s <= t")
-    outer = _integrate_backward(env, t, lam, opts, r_end=r)
+    outer = _integrate_backward(env, t, lam, r_end=r)
     mid = outer.at(s)
-    inner = _integrate_backward(env, s, mid, opts, r_end=r)
+    inner = _integrate_backward(env, s, mid, r_end=r)
     return np.abs(outer.at(r) - inner.at(r))
 
 
-def v_infinity(env: EnvSpec, t: float, opts: SolverOptions | None = None):
+def v_infinity(env: EnvSpec, t: float):
     """v_{0,t}(infinity): one backward sweep started at lambda = (inf, inf).
 
     Returns ``(limit, diagnostic)``.  ``limit`` holds ``inf`` for components
@@ -441,15 +428,15 @@ def v_infinity(env: EnvSpec, t: float, opts: SolverOptions | None = None):
     large-lambda ladder this sweep replaced.  Raises :class:`SolverError` on
     structure the sweep cannot resolve, never an undecided value.
     """
-    limit = _integrate_backward(env, t, (math.inf, math.inf), opts, r_end=0.0).at(0.0)
+    limit = _integrate_backward(env, t, (math.inf, math.inf)).at(0.0)
     status = tuple("diverged" if math.isinf(x) else "converged" for x in limit)
     return limit, {"status": status, "ladder": [], "values": np.empty((0, 2))}
 
 
-def extinction_prob(env: EnvSpec, x, t: float, opts: SolverOptions | None = None) -> float:
+def extinction_prob(env: EnvSpec, x, t: float) -> float:
     """P(extinct by t) = exp(-<x, v_{0,t}(infinity)>), 0 when a needed limit is infinite."""
-    x = np.asarray(x, dtype=float)
-    limit, _ = v_infinity(env, t, opts)
+    x = _nonnegative_x(x)
+    limit, _ = v_infinity(env, t)
     needed = [i for i in range(2) if x[i] > 0]
     if any(math.isinf(limit[i]) for i in needed):
         return 0.0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cumulant import PiecewiseSolution, SolverOptions, _integrate_backward
+from .cumulant import PiecewiseSolution, _integrate_backward
 from .densities import SignedMeasure1D
 from .environment import EnvSpec
 from .noise import NoiseStream
@@ -58,16 +58,14 @@ class WeightMeasure:
         return np.array([self.per_type[0].atom_mass(s), self.per_type[1].atom_mass(s)])
 
 
-def solve_functional(env: EnvSpec, zeta: WeightMeasure, t: float, lam,
-                     opts: SolverOptions | None = None) -> PiecewiseSolution:
+def solve_functional(env: EnvSpec, zeta: WeightMeasure, t: float, lam) -> PiecewiseSolution:
     """Solve the weight-shifted backward system for u_{.,t} on [0, t]."""
-    return _integrate_backward(env, t, lam, opts, zeta=zeta, r_end=0.0)
+    return _integrate_backward(env, t, lam, zeta=zeta)
 
 
-def solve_w(env: EnvSpec, zeta: WeightMeasure, r: float, t: float,
-            opts: SolverOptions | None = None) -> np.ndarray:
+def solve_w(env: EnvSpec, zeta: WeightMeasure, r: float, t: float) -> np.ndarray:
     """Closed-interval exponent w_{r,t} = u_{r,t}(0) + zeta({r})."""
-    sol = _integrate_backward(env, t, (0.0, 0.0), opts, zeta=zeta, r_end=r)
+    sol = _integrate_backward(env, t, (0.0, 0.0), zeta=zeta, r_end=r)
     return sol.at(r) + zeta.atom_vector(r)
 
 

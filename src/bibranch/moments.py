@@ -10,7 +10,7 @@ kernel (compensated own-kernel jumps drop out of the mean).  The atom update
 is ``AtomInfo.mean_map``, built from the same atom data as the cumulant's
 jump map and the path engine's branching update.  It is integrated
 forward between the hard points of ``EnvSpec.hard_points`` with the
-cumulant's piece solver, and returned as the same
+cumulant's piece solver and negativity rule, and returned as the same
 :class:`~bibranch.cumulant.PiecewiseSolution` as the backward cumulant: the
 exact ``x0`` at 0, ``at(t)`` the right-continuous (post-atom) mean and
 ``left_at(s)`` the pre-atom mean at an atom.
@@ -27,17 +27,15 @@ import math
 
 import numpy as np
 
-from .cumulant import (DEFAULT_OPTIONS, PiecewiseSolution, SolverError, SolverOptions,
-                       _DenseSegment, _coefficients, _solve_piece)
+from .cumulant import (PiecewiseSolution, _DenseSegment, _clip_negative, _coefficients,
+                       _neg_tol, _solve_piece)
 from .environment import EnvSpec, atom_info, bar_b
 
 __all__ = ["first_moment", "moment_bound"]
 
 
-def first_moment(env: EnvSpec, x0, t: float, opts: SolverOptions | None = None) -> PiecewiseSolution:
+def first_moment(env: EnvSpec, x0, t: float) -> PiecewiseSolution:
     """Solve the linear mean system forward from x0 on [0, t]."""
-    if opts is None:
-        opts = DEFAULT_OPTIONS
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (2,) or np.any(x0 < 0):
         raise ValueError("x0 must be a nonnegative 2-vector")
@@ -62,16 +60,13 @@ def first_moment(env: EnvSpec, x0, t: float, opts: SolverOptions | None = None) 
     segments = []
     atom_values = {}
     for lo, hi in zip(hard[:-1], hard[1:]):
-        sol = _solve_piece(rhs, lo, hi, m, opts)
+        sol = _solve_piece(rhs, lo, hi, m)
         m = sol.y[:, -1]
         segments.append((lo, hi, _DenseSegment(sol), None, None))
         info = atom_info(env, hi) if hi in atom_set else None
         if info is not None:
             m_left = m.copy()
-            m = info.mean_map(m_left)
-            if np.any(m < -1e-9 * (1 + np.max(np.abs(m_left)))):
-                raise SolverError(f"negative mean after atom at t={hi:g}: {m}")
-            m = np.maximum(m, 0.0)
+            m = _clip_negative(info.mean_map(m_left), _neg_tol(m_left), f"t={hi:g}")
             atom_values[hi] = (m_left, m.copy())
     fixed = {0.0: x0}
     if t in atom_values:

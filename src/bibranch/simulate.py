@@ -109,10 +109,6 @@ class Trajectory:
     left_states: np.ndarray  # (k, 2); equals states except at atoms
     absorbed_at: float | None
 
-    def state_at(self, t: float) -> np.ndarray:
-        k = int(np.searchsorted(self.times, t, side="right")) - 1
-        return self.states[max(k, 0)]
-
 
 @dataclass
 class EnsembleStats:
@@ -324,12 +320,14 @@ def _atom_apply(atom: AtomInfo, X: np.ndarray, rng, src=_INDEPENDENT) -> np.ndar
 
 
 def _tile(x0, n: int) -> np.ndarray:
-    return np.tile(np.asarray(x0, dtype=float), (n, 1))
+    """n copies of the start x0, the one entry point of every start state."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (2,) or np.any(x0 < 0):
+        raise ValueError("x0 must be a nonnegative 2-vector")
+    return np.tile(x0, (n, 1))
 
 
 def _run(plan: _StepPlan, X: np.ndarray, rng, collectors=(), src=_INDEPENDENT):
-    if np.any(X < 0):
-        raise ValueError("x0 must be componentwise nonnegative")
     for c in collectors:
         c.begin(plan, X)
     for k in range(len(plan.mesh) - 1):
@@ -437,9 +435,8 @@ def simulate_path(env: EnvSpec, x0, t: float, opts: SimOptions, noise: NoiseStre
     return coll.trajectories()[0]
 
 
-def simulate_atom(env: EnvSpec, s: float, x_left, noise) -> np.ndarray:
+def simulate_atom(env: EnvSpec, s: float, x_left, rng: np.random.Generator) -> np.ndarray:
     """Draw the exact branching update across the atom at time s."""
-    rng = noise.substream("atom") if isinstance(noise, NoiseStream) else noise
     x = np.atleast_2d(np.asarray(x_left, dtype=float))
     if np.any(x < 0):
         raise ValueError("x_left must be componentwise nonnegative")
@@ -457,7 +454,9 @@ def simulate_ensemble(env: EnvSpec, x0, t: float, checkpoints, lam_grid, n_paths
     outside = [c for c in checkpoints if not t0 <= c <= t]
     if outside:
         raise ValueError(f"checkpoint {outside[0]} outside [{t0}, {t}]")
-    lambdas = np.asarray(lam_grid, dtype=float).reshape(-1, 2) if len(lam_grid) else np.empty((0, 2))
+    lambdas = np.asarray(lam_grid, dtype=float) if len(lam_grid) else np.empty((0, 2))
+    if lambdas.ndim != 2 or lambdas.shape[1] != 2 or not np.all(lambdas >= 0):
+        raise ValueError("lam_grid must be a list of nonnegative (a, b) pairs")
     rng = noise.substream("ensemble")
     plan = _StepPlan(env, t0, t, opts, checkpoints=checkpoints)
     snap = _SnapshotCollector(checkpoints)

@@ -159,7 +159,7 @@ def _semigroup(sc, ctx):
     worst, tol = 0.0, sc.gates.semigroup_tol
     outer = solve_backward(sc.env, sc.t, ctx.lam_ref)
     for s in np.linspace(0.0, sc.t, 7)[1:-1]:
-        inner = _integrate_backward(sc.env, float(s), outer.at(float(s)), None, r_end=0.0)
+        inner = _integrate_backward(sc.env, float(s), outer.at(float(s)))
         for r in np.linspace(0.0, s, 5):
             res = np.abs(outer.at(float(r)) - inner.at(float(r)))
             worst = max(worst, float(res.max()))
@@ -313,10 +313,8 @@ def run_scenario(sc: Scenario) -> VerdictReport:
                          time.perf_counter() - t_start, skipped)
 
 
-def run_suite(scenarios=None, threads: int | None = None):
+def run_suite(scenarios, threads: int | None = None):
     """Run scenarios (in parallel when threads > 1), ordered by name."""
-    if scenarios is None:
-        scenarios = suite()
     if threads is None or threads <= 1:
         reports = [run_scenario(s) for s in scenarios]
     else:

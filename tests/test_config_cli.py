@@ -291,3 +291,40 @@ def test_cli_verify_reports_skips_on_stderr(tmp_path, capsys):
     main(["verify", "--scenario", str(p), "--threads", "1", "--out", str(tmp_path / "r.json")])
     line = capsys.readouterr().err.strip().splitlines()[-1]
     assert line.endswith("s; skipped moment: state variance infinite (uncapped power tail))")
+
+
+def test_cli_extinction_rejects_negative_x0(capsys):
+    assert main(["extinction", str(FELLER), "--x0=-1,0"]) == 1
+    assert capsys.readouterr().err == "bibranch: x must be a nonnegative 2-vector\n"
+
+
+def test_cli_lambda_grid_needs_two_numbers_per_line(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("1.0,0.5\n\n2.0\n3.0\n")
+    code = main(["simulate", str(FELLER), "--paths", "16", "--t", "0.1", "--checkpoints", "0.1",
+                 "--lambda-grid", str(grid), "--out", str(tmp_path / "sim.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bibranch: {grid} line 3: expected two comma-separated numbers")
+    assert err.count("\n") == 1
+
+
+def test_bad_threads_variable_is_read_by_verify_only(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("BIBRANCH_THREADS", "abc")
+    assert main(["validate", str(FELLER)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--suite", "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == "bibranch: BIBRANCH_THREADS must be an integer, got 'abc'\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify"], "one of the arguments --suite --scenario is required"),
+    (["verify", "--suite", "--scenario", "x.json"], "not allowed with argument --suite"),
+])
+def test_verify_needs_exactly_one_of_suite_and_scenario(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err

@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import bibranch.cumulant
 from bibranch.cumulant import (
     SolverError,
-    SolverOptions,
     atom_step,
     extinction_prob,
     laplace_transform,
@@ -180,14 +180,14 @@ def test_monotone_in_lambda(rng):
             assert np.all(hi.at(r) >= lo.at(r) - 1e-9)
 
 
-def test_grid_refinement_stability():
-    opts = SolverOptions(rel_tol=1e-8, abs_tol=1e-10, max_step=0.1)
-    fine = SolverOptions(rel_tol=1e-8, abs_tol=1e-10, max_step=0.05)
+def test_grid_refinement_stability(monkeypatch):
     env = make_env(b11=const(0.7), b12=const(0.2), b21=const(0.1), b22=const(-0.2),
                    c1=const(0.4), c2=const(0.1),
                    m1=JumpKernel(((Density.constant(0.5), Dirac((0.6, 0.1), 0.5)),)))
-    v1 = solve_backward(env, 1.0, (2.0, 1.0), opts).at(0.0)
-    v2 = solve_backward(env, 1.0, (2.0, 1.0), fine).at(0.0)
+    monkeypatch.setattr(bibranch.cumulant, "_MAX_STEP", 0.1)
+    v1 = solve_backward(env, 1.0, (2.0, 1.0)).at(0.0)
+    monkeypatch.setattr(bibranch.cumulant, "_MAX_STEP", 0.05)
+    v2 = solve_backward(env, 1.0, (2.0, 1.0)).at(0.0)
     assert np.max(np.abs(v1 - v2)) < 1e-8 * (1.0 + np.linalg.norm(v1))
 
 
@@ -287,6 +287,14 @@ def test_extinction_prob_values():
     assert extinction_prob(feller_env(b, c), (2.0, 0.0), t) == pytest.approx(expected, rel=1e-9)
     # already-extinct start
     assert extinction_prob(feller_env(), (0.0, 0.0), 1.0) == 1.0
+
+
+@pytest.mark.parametrize("x", [(-1.0, 0.0), (1.0,), (1.0, 0.0, 2.0)])
+def test_x_must_be_a_nonnegative_pair(x):
+    with pytest.raises(ValueError, match="nonnegative 2-vector"):
+        extinction_prob(feller_env(), x, 1.0)
+    with pytest.raises(ValueError, match="nonnegative 2-vector"):
+        laplace_transform(feller_env(), x, 0.0, 1.0, (1.0, 1.0))
 
 
 def test_extinction_prob_stable_closed_form():

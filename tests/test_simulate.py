@@ -399,9 +399,33 @@ def test_negative_start_rejected():
                                  SimOptions(step=1e-2), NoiseStream(43))
 
 
+@pytest.mark.parametrize("x0", [(1.0,), (1.0, 0.0, 5.0), ((1.0, 0.0), (2.0, 0.0))])
+def test_start_must_be_a_pair(x0):
+    env, opts = make_env(), SimOptions(step=1e-2)
+    with pytest.raises(ValueError, match="nonnegative 2-vector"):
+        simulate_ensemble(env, x0, 0.5, (0.5,), [], 16, opts, NoiseStream(5))
+    with pytest.raises(ValueError, match="nonnegative 2-vector"):
+        simulate_path(env, x0, 0.5, opts, NoiseStream(5))
+
+
 def test_checkpoint_outside_the_horizon_is_a_value_error():
     env, opts = make_env(), SimOptions(step=1e-2)
     with pytest.raises(ValueError, match=r"checkpoint 1.0 outside \[0.0, 0.5\]"):
         simulate_ensemble(env, (1.0, 0.5), 0.5, (0.5, 1.0), [], 16, opts, NoiseStream(5))
     with pytest.raises(ValueError, match=r"checkpoint 0.1 outside \[0.2, 0.5\]"):
         simulate_ensemble(env, (1.0, 0.5), 0.5, (0.1,), [], 16, opts, NoiseStream(5), t0=0.2)
+
+
+@pytest.mark.parametrize("grid", [[(1.0,), (2.0,)], [(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)],
+                                  [1.0, 2.0], [(1.0, -1.0)], [(1.0, float("nan"))]])
+def test_lambda_grid_must_be_nonnegative_pairs(grid):
+    env, opts = make_env(), SimOptions(step=1e-2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        simulate_ensemble(env, (1.0, 0.5), 0.5, (0.5,), grid, 16, opts, NoiseStream(5))
+
+
+def test_lambda_grid_empty_or_pairs_runs():
+    env, opts = make_env(), SimOptions(step=1e-2)
+    for grid, shape in (([], (0, 2)), ([(1.0, 0.0), (2.0, 3.0)], (2, 2))):
+        stats = simulate_ensemble(env, (1.0, 0.5), 0.5, (0.5,), grid, 16, opts, NoiseStream(5))
+        assert stats.lambdas.shape == shape and stats.laplace.shape == (1, shape[0])
