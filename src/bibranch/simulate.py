@@ -29,14 +29,26 @@ where path i draws Poisson(X_p,i(s-) * mass) marks of each jump atom of m_p.
 States are clamped at zero after every step; extinction is exact membership
 of the origin.
 
-Coupled pairs take the same step on one (2h, 2) state, low copies in rows
-[0, h) and high copies in rows [h, 2h); only the noise-and-mark source
-differs.  Both copies read one Brownian sheet over (time, level) and one
-Poisson random measure of marks (s, z, u), and each keeps what lies below
-its own level (Dawson & Li 2012): events fall at rate r * max(x_low, x_high)
-and a copy keeps a mark iff u < its X_p(s-), which is exact thinning; the
-sheet over [0, x] is a normal at the lower level, shared, plus an
-independent normal over the gap for the higher copy.
+The state of n paths is one column-major (n, 2) array, so each type's column
+is contiguous.  A run owns three such buffers and two length-n scratch
+vectors (products and normals) and rotates through them: a step writes its
+result into a buffer other than the one holding its input, an atom update
+into the third, and the caller's start array is only read.  Drift, noise and
+clamp thus allocate nothing of length n; the cumulative sum of each jump
+channel and the coupled source's sheet normals still do.  Terms that are zero
+on the whole mesh (a cross feed) or on a whole interval (a weight density)
+are dropped when the plan is compiled.  Adding an exact zero can only turn
+-0.0 into +0.0, which the clamp at zero does too, so every output byte stays
+as it was.
+
+Coupled pairs take the same step on one column-major (2h, 2) state, low
+copies in rows [0, h) and high copies in rows [h, 2h); only the
+noise-and-mark source differs.  Both copies read one Brownian sheet over
+(time, level) and one Poisson random measure of marks (s, z, u), and each
+keeps what lies below its own level (Dawson & Li 2012): events fall at rate
+r * max(x_low, x_high) and a copy keeps a mark iff u < its X_p(s-), which is
+exact thinning; the sheet over [0, x] is a normal at the lower level, shared,
+plus an independent normal over the gap for the higher copy.
 """
 
 from __future__ import annotations
@@ -181,6 +193,7 @@ class _StepPlan:
         # fused per-interval coefficients for the euler step
         self.lin_keep = tuple(1.0 - (b_diag[i] + comp[i]) * self.dts for i in range(2))
         self.lin_feed = tuple(b_feed[i] * self.dts for i in range(2))
+        self.has_feed = tuple(bool(np.any(f != 0.0)) for f in self.lin_feed)
         self.diff_coef = tuple(2.0 * c[i] * self.dts for i in range(2))
         self.gvar_dt = tuple(gvar[i] * self.dts for i in range(2))
 
@@ -194,10 +207,11 @@ class _StepPlan:
                 np.asarray(zeta.per_type[0].density(self.mesh), dtype=float) + np.zeros(len(self.mesh)),
                 np.asarray(zeta.per_type[1].density(self.mesh), dtype=float) + np.zeros(len(self.mesh)),
             ])
+            self.zeta_dense = np.any(self.zeta_density != 0.0, axis=1)
+            # weight atoms are hard points, so each one in [t0, t] is on the mesh
             self.zeta_atom = {
-                k: zeta.atom_vector(s)
-                for k, s in enumerate(self.mesh)
-                if np.any(zeta.atom_vector(s) != 0)
+                self.index_of[s]: v for s in zeta.atom_times
+                if t0 <= s <= t and np.any((v := zeta.atom_vector(s)) != 0)
             }
 
 
@@ -227,14 +241,26 @@ def _event_paths(rng, r: float, x: np.ndarray, guard: float = math.inf) -> np.nd
 
 
 def _add_marks(idx, Z, out0, out1):
-    out0 += np.bincount(idx, weights=Z[:, 0], minlength=out0.size)
-    out1 += np.bincount(idx, weights=Z[:, 1], minlength=out1.size)
+    """Add mark Z[e] to row idx[e] of (out0, out1); idx is sorted.
+
+    Distinct rows take an indexed add.  A row with several events takes the
+    sum of its marks from ``bincount``, the only form whose rounding matches
+    the full-length ``out += bincount(...)``.  The two forms differ only on a
+    -0.0 entry without events, which the step's clamp turns into +0.0 anyway.
+    """
+    if np.all(idx[1:] != idx[:-1]):
+        out0[idx] += Z[:, 0]
+        out1[idx] += Z[:, 1]
+    else:
+        out0 += np.bincount(idx, weights=Z[:, 0], minlength=out0.size)
+        out1 += np.bincount(idx, weights=Z[:, 1], minlength=out1.size)
 
 
-def _noise_term(coef: float, x, rng):
-    g = x * coef
+def _noise_term(coef: float, x, rng, g=None, z=None):
+    """sqrt(coef * x) times standard normals, written into g and z if given."""
+    g = np.multiply(x, coef, out=g)
     np.sqrt(g, out=g)
-    g *= rng.standard_normal(g.size)
+    g *= rng.standard_normal(g.size) if z is None else rng.standard_normal(out=z)
     return g
 
 
@@ -245,8 +271,8 @@ class _Independent:
     """Every row is its own path, with private normals and Poisson events."""
 
     @staticmethod
-    def noise(coef: float, x, rng):
-        return _noise_term(coef, x, rng)
+    def noise(coef: float, x, rng, work):
+        return _noise_term(coef, x, rng, work.tmp, work.normals)
 
     @staticmethod
     def jumps(rng, r: float, x, sample, guard: float, out0, out1):
@@ -262,7 +288,7 @@ class _Coupled:
     def __init__(self, h: int):
         self.h = h
 
-    def noise(self, coef: float, x, rng):
+    def noise(self, coef: float, x, rng, work):
         a, b = x[:self.h], x[self.h:]
         gap = a - b
         g = _noise_term(coef, np.minimum(a, b), rng)
@@ -285,38 +311,56 @@ class _Coupled:
 _INDEPENDENT = _Independent()
 
 
-def _euler_step(plan: _StepPlan, k: int, X: np.ndarray, rng, src) -> np.ndarray:
+class _Work:
+    """The storage one run reuses: three column-major (n, 2) states and the
+    product and normals scratch vectors of length n."""
+
+    def __init__(self, n: int):
+        self.states = [np.empty((n, 2), order="F") for _ in range(3)]
+        self.tmp = np.empty(n)
+        self.normals = np.empty(n)
+
+    def free(self, *busy) -> np.ndarray:
+        return next(b for b in self.states if all(b is not x for x in busy))
+
+
+def _euler_step(plan: _StepPlan, k: int, X: np.ndarray, rng, src, out, work) -> np.ndarray:
     x0, x1 = X[:, 0], X[:, 1]
-    new0 = x0 * plan.lin_keep[0][k]
-    new0 += x1 * plan.lin_feed[0][k]
-    new1 = x1 * plan.lin_keep[1][k]
-    new1 += x0 * plan.lin_feed[1][k]
+    new0, new1 = out[:, 0], out[:, 1]
+    np.multiply(x0, plan.lin_keep[0][k], out=new0)
+    if plan.has_feed[0]:
+        new0 += np.multiply(x1, plan.lin_feed[0][k], out=work.tmp)
+    np.multiply(x1, plan.lin_keep[1][k], out=new1)
+    if plan.has_feed[1]:
+        new1 += np.multiply(x0, plan.lin_feed[1][k], out=work.tmp)
     if plan.has_diffusion[0]:
-        new0 += src.noise(plan.diff_coef[0][k], x0, rng)
+        new0 += src.noise(plan.diff_coef[0][k], x0, rng, work)
     if plan.has_diffusion[1]:
-        new1 += src.noise(plan.diff_coef[1][k], x1, rng)
+        new1 += src.noise(plan.diff_coef[1][k], x1, rng, work)
     if plan.gvar_dt[0][k] > 0:
-        new0 += src.noise(plan.gvar_dt[0][k], x0, rng)
+        new0 += src.noise(plan.gvar_dt[0][k], x0, rng, work)
     if plan.gvar_dt[1][k] > 0:
-        new1 += src.noise(plan.gvar_dt[1][k], x1, rng)
+        new1 += src.noise(plan.gvar_dt[1][k], x1, rng, work)
     for ch in plan.channels:
         r = ch.rates_dt[k]
         if r != 0.0:
             src.jumps(rng, r, X[:, ch.p], ch.sample, plan.opts.jump_count_guard, new0, new1)
-    np.maximum(new0, 0.0, out=new0)
-    np.maximum(new1, 0.0, out=new1)
-    return np.column_stack([new0, new1])
+    return np.maximum(out, 0.0, out=out)
 
 
-def _atom_apply(atom: AtomInfo, X: np.ndarray, rng, src=_INDEPENDENT) -> np.ndarray:
-    new0 = X[:, 0] * (1.0 - atom.delta[0]) + X[:, 1] * atom.db[1][0]
-    new1 = X[:, 1] * (1.0 - atom.delta[1]) + X[:, 0] * atom.db[0][1]
+def _atom_apply(atom: AtomInfo, X: np.ndarray, rng, src=_INDEPENDENT,
+                out=None, tmp=None) -> np.ndarray:
+    out = np.empty(X.shape, order="F") if out is None else out
+    x0, x1 = X[:, 0], X[:, 1]
+    new0, new1 = out[:, 0], out[:, 1]
+    np.multiply(x0, 1.0 - atom.delta[0], out=new0)
+    new0 += np.multiply(x1, atom.db[1][0], out=tmp)
+    np.multiply(x1, 1.0 - atom.delta[1], out=new1)
+    new1 += np.multiply(x0, atom.db[0][1], out=tmp)
     for p in range(2):
         for meas in atom.jumps[p]:
             src.jumps(rng, meas.mass(), X[:, p], meas.sample, math.inf, new0, new1)
-    np.maximum(new0, 0.0, out=new0)
-    np.maximum(new1, 0.0, out=new1)
-    return np.column_stack([new0, new1])
+    return np.maximum(out, 0.0, out=out)
 
 
 def _tile(x0, n: int) -> np.ndarray:
@@ -324,17 +368,24 @@ def _tile(x0, n: int) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (2,) or np.any(x0 < 0):
         raise ValueError("x0 must be a nonnegative 2-vector")
-    return np.tile(x0, (n, 1))
+    return np.asfortranarray(np.tile(x0, (n, 1)))
 
 
 def _run(plan: _StepPlan, X: np.ndarray, rng, collectors=(), src=_INDEPENDENT):
+    """Step X across the plan's mesh and return the final state.
+
+    X is only read.  Collectors see X_prev, X_pre and X_post in three
+    distinct buffers that later steps overwrite, so they copy what they keep.
+    """
     for c in collectors:
         c.begin(plan, X)
+    work = _Work(X.shape[0])
     for k in range(len(plan.mesh) - 1):
         X_prev = X
-        X_pre = _euler_step(plan, k, X_prev, rng, src)
+        X_pre = _euler_step(plan, k, X_prev, rng, src, work.free(X_prev), work)
         atom = plan.atom_at.get(k + 1)
-        X = _atom_apply(atom, X_pre, rng, src) if atom is not None else X_pre
+        X = X_pre if atom is None else _atom_apply(
+            atom, X_pre, rng, src, work.free(X_prev, X_pre), work.tmp)
         for c in collectors:
             c.after_step(k + 1, X_prev, X_pre, X, plan.dts[k])
     return X
@@ -378,11 +429,17 @@ class _SnapshotCollector:
         self.idx = {plan.index_of[t]: t for t in self.times}
         self.snaps = {}
         if 0 in self.idx:
-            self.snaps[self.idx[0]] = X.copy()
+            self.snaps[self.idx[0]] = _row_major_copy(X)
 
     def after_step(self, k, X_prev, X_pre, X_post, dt):
         if k in self.idx:
-            self.snaps[self.idx[k]] = X_post.copy()
+            self.snaps[self.idx[k]] = _row_major_copy(X_post)
+
+
+def _row_major_copy(X):
+    # row-major like the aggregates were written for: mean and var along the
+    # rows of a column-major array round differently
+    return np.array(X, order="C")
 
 
 class _FunctionalCollector:
@@ -391,16 +448,21 @@ class _FunctionalCollector:
     def begin(self, plan, X):
         self.plan = plan
         self.A = np.zeros(X.shape[0])
+        self.left = np.empty(X.shape[0])
+        self.right = np.empty(X.shape[0])
         start_atom = plan.zeta_atom.get(0) if plan.zeta is not None else None
         if start_atom is not None:
             self.A += X @ start_atom
 
     def after_step(self, k, X_prev, X_pre, X_post, dt):
         plan = self.plan
-        zd = plan.zeta_density
-        left = X_prev @ zd[k - 1]
-        right = X_pre @ zd[k]
-        self.A += 0.5 * dt * (left + right)
+        if plan.zeta_dense[k - 1] or plan.zeta_dense[k]:
+            zd = plan.zeta_density
+            # the mat-vec, not x0 * z0 + x1 * z1, which rounds differently
+            left = np.matmul(X_prev, zd[k - 1], out=self.left)
+            left += np.matmul(X_pre, zd[k], out=self.right)
+            left *= 0.5 * dt
+            self.A += left
         atom = plan.zeta_atom.get(k)
         if atom is not None:
             self.A += X_post @ atom
@@ -508,7 +570,7 @@ def _pair_start(x0_low, x0_high, h: int) -> np.ndarray:
     x_high = np.asarray(x0_high, dtype=float)
     if np.any(x_low > x_high):
         raise ValueError("need x0_low <= x0_high componentwise")
-    return np.vstack([_tile(x_low, h), _tile(x_high, h)])
+    return np.asfortranarray(np.vstack([_tile(x_low, h), _tile(x_high, h)]))
 
 
 def coupled_pair(env: EnvSpec, x0_low, x0_high, t: float, opts: SimOptions,
