@@ -34,12 +34,13 @@ is contiguous.  A run owns three such buffers and two length-n scratch
 vectors (products and normals) and rotates through them: a step writes its
 result into a buffer other than the one holding its input, an atom update
 into the third, and the caller's start array is only read.  Drift, noise and
-clamp thus allocate nothing of length n; the cumulative sum of each jump
-channel and the coupled source's sheet normals still do.  Terms that are zero
-on the whole mesh (a cross feed) or on a whole interval (a weight density)
-are dropped when the plan is compiled.  Adding an exact zero can only turn
--0.0 into +0.0, which the clamp at zero does too, so every output byte stays
-as it was.
+clamp of independent paths thus allocate nothing of length n; the cumulative
+sum of each jump channel still does, and so does the coupled source when it
+joins its two sheet normals (drawn into the scratch) per copy.  Terms that
+are zero on the whole mesh (a cross feed) or on a whole interval (a weight
+density) are dropped when the plan is compiled.  Adding an exact zero can
+only turn -0.0 into +0.0, which the clamp at zero does too, so every output
+byte stays as it was.
 
 Coupled pairs take the same step on one column-major (2h, 2) state, low
 copies in rows [0, h) and high copies in rows [h, 2h); only the
@@ -289,10 +290,12 @@ class _Coupled:
         self.h = h
 
     def noise(self, coef: float, x, rng, work):
-        a, b = x[:self.h], x[self.h:]
+        h = self.h
+        a, b = x[:h], x[h:]
         gap = a - b
-        g = _noise_term(coef, np.minimum(a, b), rng)
-        e = _noise_term(coef, np.abs(gap), rng)
+        # the shared normal fills the first half of the scratch, the gap's the second
+        g = _noise_term(coef, np.minimum(a, b), rng, work.tmp[:h], work.normals[:h])
+        e = _noise_term(coef, np.abs(gap), rng, work.tmp[h:], work.normals[h:])
         return np.concatenate([g + e * (gap > 0), g + e * (gap < 0)])
 
     def jumps(self, rng, r: float, x, sample, guard: float, out0, out1):
@@ -350,7 +353,8 @@ def _euler_step(plan: _StepPlan, k: int, X: np.ndarray, rng, src, out, work) -> 
 
 def _atom_apply(atom: AtomInfo, X: np.ndarray, rng, src=_INDEPENDENT,
                 out=None, tmp=None) -> np.ndarray:
-    out = np.empty(X.shape, order="F") if out is None else out
+    # without a buffer (simulate_atom) the batch is row-major: row aggregates round by layout
+    out = np.empty(X.shape) if out is None else out
     x0, x1 = X[:, 0], X[:, 1]
     new0, new1 = out[:, 0], out[:, 1]
     np.multiply(x0, 1.0 - atom.delta[0], out=new0)

@@ -33,6 +33,7 @@ from bibranch.simulate import (
     _tile,
     coupled_order_violations,
     coupled_pair,
+    simulate_atom,
     simulate_ensemble,
     simulate_path,
 )
@@ -203,6 +204,15 @@ def test_snapshots_at_adjacent_mesh_points_are_distinct_copies(n):
         assert a.flags.c_contiguous
         assert np.array_equal(a, traj.states[:, plan.index_of[times[i]]])
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+
+@pytest.mark.parametrize("s", [0.5, 0.7])
+def test_simulate_atom_returns_a_row_major_batch(s):
+    # callers aggregate the batch along its rows, which rounds by layout
+    x = np.random.default_rng(74).uniform(0.0, 2.0, size=(300, 2))
+    out = simulate_atom(_mixed_env(), s, x, NoiseStream(10).substream("a"))
+    assert out.shape == x.shape and out.flags.c_contiguous
+    assert not np.array_equal(out, x)
 
 
 def test_path_and_coupled_pair_trajectories_are_pinned():
