@@ -14,7 +14,13 @@ type, using the uncompensated-cross form of the driving equations:
 Finite-activity components give path i Poisson(X_p,i * rate * mass * h)
 events with marks from the normalized spatial measure, drawn by superposition:
 one Poisson total per channel and step, each event assigned to a path in
-proportion to its rate, so the per-path counts are exactly independent.
+proportion to its rate, so the per-path counts are exactly independent.  The
+paths are cut into contiguous blocks; the block sums give the total, and an
+event is placed by finding its block among their cumulative sums and then its
+path among the prefix sums of that block only, so a step with few events
+costs O(n / block + events * block).  A step with many events, and a run of
+few paths, searches one cumsum of all paths instead.  A step without events
+draws nothing after its total.
 Power-tail components are split at a threshold eps: exact thinning above, and
 below either the compensated remainder is dropped or replaced by a
 variance-matched Gaussian.  At atom times the branching update is exact,
@@ -34,13 +40,16 @@ is contiguous.  A run owns three such buffers and two length-n scratch
 vectors (products and normals) and rotates through them: a step writes its
 result into a buffer other than the one holding its input, an atom update
 into the third, and the caller's start array is only read.  Drift, noise and
-clamp of independent paths thus allocate nothing of length n; the cumulative
-sum of each jump channel still does, and so does the coupled source when it
-joins its two sheet normals (drawn into the scratch) per copy.  Terms that
-are zero on the whole mesh (a cross feed) or on a whole interval (a weight
-density) are dropped when the plan is compiled.  Adding an exact zero can
-only turn -0.0 into +0.0, which the clamp at zero does too, so every output
-byte stays as it was.
+clamp of independent paths thus allocate nothing of length n; a jump channel
+does only on a step with many events (its cumsum of all paths), and so does
+the coupled source when it joins its two sheet normals (drawn into the
+scratch) per copy.  Terms that are zero on the whole mesh (a cross feed) or
+on a whole interval (a weight density) are dropped when the plan is compiled.
+Adding an exact zero can only turn -0.0 into +0.0, which the clamp at zero
+does too, so every output byte stays as it was.  A plan that draws no random
+number (no diffusion, Gaussian term, live channel or atom jump) moves every
+row of an ensemble's identical start the same way, so the ensemble steps one
+row and tiles its snapshots.
 
 Coupled pairs take the same step on one column-major (2h, 2) state, low
 copies in rows [0, h) and high copies in rows [h, 2h); only the
@@ -200,6 +209,13 @@ class _StepPlan:
 
         atom_times = set(env.atom_times(t0, t))
         self.atom_at = {k: atom_info(env, s) for k, s in enumerate(self.mesh) if s in atom_times}
+        # no diffusion, Gaussian term, live channel or atom jump: no random number is drawn
+        self.draws_nothing = not (
+            any(self.has_diffusion)
+            or any(np.any(g > 0) for g in self.gvar_dt)
+            or any(np.any(ch.rates_dt != 0.0) for ch in self.channels)
+            or any(a is not None and any(a.jumps) for a in self.atom_at.values())
+        )
 
         self.index_of = {float(s): k for k, s in enumerate(self.mesh)}
         self.zeta = zeta
@@ -216,6 +232,13 @@ class _StepPlan:
             }
 
 
+_BLOCK = 64  # paths per block of the event search
+# search one cumsum of all paths instead when a step has more than one event per
+# _DENSE blocks, or fewer than _FEW_PATHS paths (the blocks' fixed cost)
+_DENSE = 8
+_FEW_PATHS = 4096
+
+
 def _event_paths(rng, r: float, x: np.ndarray, guard: float = math.inf) -> np.ndarray:
     """Path index of every event when path i has Poisson(r * x[i]) events.
 
@@ -223,38 +246,95 @@ def _event_paths(rng, r: float, x: np.ndarray, guard: float = math.inf) -> np.nd
     i with probability x[i] / sum(x), so the per-path counts are exactly
     independent Poisson.  Raises SimulationError when some r * x[i] exceeds
     guard.
+
+    From _FEW_PATHS paths on, the mass is the last of the block edges, and a
+    step with few events searches only the blocks they fall in, at
+    O(n / _BLOCK + events * _BLOCK) instead of the O(n) of one cumsum.
     """
-    cum = np.cumsum(x)
-    mass = cum[-1] if cum.size else 0.0
-    # x >= 0 makes cum[-1] >= max(x) after rounding, so the sum screens the max
+    n = x.size
+    few = n < _FEW_PATHS
+    sums = np.cumsum(x) if few else _block_edges(x)
+    mass = sums[-1] if sums.size else 0.0
+    # x >= 0 makes any sum of it >= max(x) after rounding, so the sum screens the max
     if mass * r > guard and x.max() * r > guard:
         raise SimulationError(
             "step-overflow: expected jump count per step exceeds guard; reduce step"
         )
     if mass == 0.0:
         return np.empty(0, dtype=np.intp)
-    # sorted keys make the lookups walk cum in order; marks are iid, so the
-    # order in which events are listed does not change the law
-    u = np.sort(rng.random(rng.poisson(r * mass))) * mass
+    k = rng.poisson(r * mass)
+    if k == 0:
+        return np.empty(0, dtype=np.intp)
+    # sorted keys make the lookups walk the boundaries in order; marks are
+    # iid, so the order in which events are listed does not change the law
+    u = np.sort(rng.random(k)) * mass
+    if not few and k * _DENSE <= sums.size - 1:
+        return _block_search(x, sums, u)
+    cum = sums if few else np.cumsum(x)
     idx = np.searchsorted(cum, u, side="right")
-    # U * mass rounds up to a subnormal mass: keep it on the last positive path
-    return np.minimum(idx, np.searchsorted(cum, mass, side="left"), out=idx)
+    # U * mass can round up to the mass: keep it on the last positive path
+    return np.minimum(idx, np.searchsorted(cum, cum[-1], side="left"), out=idx)
+
+
+def _block_edges(x: np.ndarray) -> np.ndarray:
+    """0 and the cumulative sums of the blocks of _BLOCK contiguous paths of x,
+    a shorter tail block last."""
+    n = x.size
+    full = n - n % _BLOCK
+    edges = np.zeros(1 + -(-n // _BLOCK))
+    np.einsum("ij->i", x[:full].reshape(-1, _BLOCK), out=edges[1:1 + full // _BLOCK])
+    if full < n:
+        edges[-1] = x[full:].sum()
+    return np.cumsum(edges, out=edges)
+
+
+def _block_search(x: np.ndarray, edges: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Path of each sorted key u in [0, mass], searching only the key's block."""
+    n, full = x.size, x.size // _BLOCK
+    blk = np.searchsorted(edges[1:], u, side="right")
+    if blk[-1] == edges.size - 1:
+        # U * mass rounded up to the mass: the last block of positive sum
+        np.minimum(blk, np.searchsorted(edges[1:], edges[-1], side="left"), out=blk)
+    # one row per key: the paths of its block, a tail block padded with zeros
+    if blk[-1] < full:
+        rows = x[:full * _BLOCK].reshape(-1, _BLOCK)[blk]
+    else:
+        rows = np.zeros((blk.size, _BLOCK))
+        tail = np.searchsorted(blk, full)
+        rows[:tail] = x[:full * _BLOCK].reshape(-1, _BLOCK)[blk[:tail]]
+        rows[tail:, :n - full * _BLOCK] = x[full * _BLOCK:]
+    # the path boundaries from the block's lower edge, summed in path order;
+    # the key's path is the number of boundaries at or below it
+    rows[:, 0] += edges[blk]
+    np.cumsum(rows, axis=1, out=rows)
+    j = (rows <= u[:, None]).sum(axis=1)
+    # a key at or past its row's last boundary (rounding) goes to the block's
+    # last positive path
+    over = j == _BLOCK
+    if over.any():
+        for e in over.nonzero()[0]:
+            j[e] = np.flatnonzero(x[blk[e] * _BLOCK:(blk[e] + 1) * _BLOCK])[-1]
+    j += blk * _BLOCK
+    return j
 
 
 def _add_marks(idx, Z, out0, out1):
     """Add mark Z[e] to row idx[e] of (out0, out1); idx is sorted.
 
-    Distinct rows take an indexed add.  A row with several events takes the
-    sum of its marks from ``bincount``, the only form whose rounding matches
-    the full-length ``out += bincount(...)``.  The two forms differ only on a
-    -0.0 entry without events, which the step's clamp turns into +0.0 anyway.
+    The marks of each distinct row are summed by ``bincount`` over the rows'
+    ranks, in event order from 0.0, and added to that row only: bit for bit
+    the full-length ``out += bincount(idx, ...)`` on every row with events.
+    The two differ only on a -0.0 entry without events, which the step's
+    clamp turns into +0.0 anyway.
     """
-    if np.all(idx[1:] != idx[:-1]):
-        out0[idx] += Z[:, 0]
-        out1[idx] += Z[:, 1]
-    else:
-        out0 += np.bincount(idx, weights=Z[:, 0], minlength=out0.size)
-        out1 += np.bincount(idx, weights=Z[:, 1], minlength=out1.size)
+    first = np.empty(idx.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(idx[1:], idx[:-1], out=first[1:])
+    rank = np.cumsum(first)
+    rank -= 1
+    rows = idx[first]
+    out0[rows] += np.bincount(rank, weights=Z[:, 0], minlength=rows.size)
+    out1[rows] += np.bincount(rank, weights=Z[:, 1], minlength=rows.size)
 
 
 def _noise_term(coef: float, x, rng, g=None, z=None):
@@ -526,7 +606,12 @@ def simulate_ensemble(env: EnvSpec, x0, t: float, checkpoints, lam_grid, n_paths
     rng = noise.substream("ensemble")
     plan = _StepPlan(env, t0, t, opts, checkpoints=checkpoints)
     snap = _SnapshotCollector(checkpoints)
-    _run(plan, _tile(x0, n_paths), rng, (snap,))
+    if plan.draws_nothing:
+        # every row takes the same exact steps: step one and tile its snapshots
+        _run(plan, _tile(x0, 1), rng, (snap,))
+        snap.snaps = {cp: np.tile(X, (n_paths, 1)) for cp, X in snap.snaps.items()}
+    else:
+        _run(plan, _tile(x0, n_paths), rng, (snap,))
 
     k = len(checkpoints)
     mean = np.empty((k, 2))

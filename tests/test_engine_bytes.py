@@ -1,8 +1,9 @@
 """Byte-level checks of the path engine.
 
 The digests below pin the output bytes of small ensembles (2000 rows, 200
-steps) on six cases that together reach every branch of the Euler step, the
-atom update and the collectors.  Any change to the inner loop that reorders a
+steps) on seven cases that together reach every branch of the Euler step, the
+atom update and the collectors, and the one-row form of a plan that draws no
+random number.  Any change to the inner loop that reorders a
 floating-point sum, switches a reduction to another memory layout or draws the
 random stream in another order changes a digest.  They hold for NumPy 2.x's
 PCG64 streams and float64 kernels on x86-64; the layout-dependent reductions
@@ -65,6 +66,16 @@ def _ensemble(env, x0, checkpoints=(0.5, 1.0), mode="drop", seed=1):
                                            NoiseStream(seed)))
 
 
+# cross feed, a decaying type and atoms without jumps: no random number is drawn
+_DRAW_FREE_ENV = make_env(b11=const(0.8) + atoms_only((0.5, 0.3)),
+                          b12=const(0.4) + atoms_only((0.6, 0.2)),
+                          b21=const(0.2), b22=const(-0.3))
+
+
+def _draw_free():
+    return _ensemble(_DRAW_FREE_ENV, (1.0, 2.0), (0.0, 0.5, 1.0))
+
+
 def _coupled_batch():
     # the violation count, and the states of the same batch at two checkpoints
     env, h = dirac_cross_env(), N // 2
@@ -96,6 +107,7 @@ CASES = {
                                           seed=3), "e7118d6fff809f41"),
     "atom-rich": (lambda: _ensemble(atom_rich_env(), (1.0, 1.0), (0.4, 0.7, 1.0), seed=4),
                   "d354a9130adec574"),
+    "draw-free": (_draw_free, "4b93d7f61cb0dd29"),
     "coupled-batch": (_coupled_batch, "d19119ee9c4a03ca"),
     "functional": (_functionals, "2f989b9d1061ba0f"),
 }
@@ -105,6 +117,13 @@ CASES = {
 def test_engine_output_bytes_are_pinned(case):
     run, expected = CASES[case]
     assert run() == expected
+
+
+def test_only_the_draw_free_case_steps_one_row():
+    opts = SimOptions(step=STEP, small_jump_mode="gaussian")
+    assert _StepPlan(_DRAW_FREE_ENV, 0.0, 1.0, opts).draws_nothing
+    for env in (feller_env(), dirac_cross_env(), stable_jump_env(), atom_rich_env()):
+        assert not _StepPlan(env, 0.0, 1.0, opts).draws_nothing
 
 
 # -- mark scatter ---------------------------------------------------------------
@@ -149,6 +168,24 @@ def test_add_marks_writes_through_a_coupled_row_slice():
         assert ref1.tobytes() == X[rows, 1].tobytes()
     assert np.array_equal(X[:h], before[:h])
     assert not np.array_equal(X[h:], before[h:])
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_add_marks_many_repeats_equal_bincount_bitwise(coupled):
+    # 5000 events on 10 000 rows: runs of up to ~20 marks on a few rows, single ones elsewhere
+    rng = np.random.default_rng(75)
+    n = 10_000
+    X = np.asfortranarray(rng.uniform(0.0, 3.0, size=(2 * n if coupled else n, 2)))
+    before = X.copy()
+    rows = slice(n, 2 * n) if coupled else slice(0, n)
+    idx = np.sort(np.concatenate([rng.integers(0, 200, size=4000),
+                                  rng.choice(np.arange(200, n), size=1000, replace=False)]))
+    Z = ExpProduct(3.0, 2.0, 0.5).sample(rng, idx.size)
+    ref0, ref1 = _scatter_matches_bincount(idx, Z, X[rows, 0], X[rows, 1])
+    assert ref0.tobytes() == X[rows, 0].tobytes()
+    assert ref1.tobytes() == X[rows, 1].tobytes()
+    if coupled:
+        assert np.array_equal(X[:n], before[:n])
 
 
 def test_add_marks_negative_zero_away_from_events_is_cleared_by_the_clamp():

@@ -11,12 +11,14 @@ from bibranch.measures import Dirac, ExpProduct, StableAxis
 from bibranch.moments import first_moment
 from bibranch.noise import NoiseStream
 from bibranch.verify import dirac_cross_env
+from bibranch import simulate
 from bibranch.simulate import (
     SimOptions,
     SimulationError,
     _Coupled,
     _SnapshotCollector,
     _StepPlan,
+    _block_search,
     _event_paths,
     _pair_start,
     _run,
@@ -368,6 +370,121 @@ def test_event_paths_extreme_uniforms_land_on_positive_paths(u, x, path):
     idx = _event_paths(_ConstUniformRng(u), 1.0, x)
     assert idx.size == 7
     assert np.all(idx == path)
+
+
+# -- event placement on many blocks ---------------------------------------------
+
+B = simulate._BLOCK
+# force the search of each event's block, or the one cumsum of all paths
+FORMS = {"block": {"_DENSE": 0, "_FEW_PATHS": 0}, "full": {"_DENSE": 10**9}}
+
+
+def _force(form, monkeypatch):
+    for name, value in FORMS[form].items():
+        monkeypatch.setattr(simulate, name, value)
+
+
+def _sequential_event_paths(rng, r, x):
+    """The placement by one sequential cumsum of all paths."""
+    cum = np.cumsum(x)
+    mass = cum[-1] if cum.size else 0.0
+    if mass == 0.0:
+        return np.empty(0, dtype=np.intp)
+    u = np.sort(rng.random(rng.poisson(r * mass))) * mass
+    idx = np.searchsorted(cum, u, side="right")
+    return np.minimum(idx, np.searchsorted(cum, mass, side="left"))
+
+
+def _patchy_state(n, seed):
+    """Positive values with zero runs, an all-zero block and a zero tail."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.7)
+    x[n // 3:n // 3 + n // 10] = 0.0
+    if n >= 3 * B:
+        x[B:2 * B] = 0.0
+    x[-(n // 20 + 1):] = 0.0
+    if not x.any():
+        x[0] = 0.5
+    return x
+
+
+@pytest.mark.parametrize("form", [None, *FORMS])
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 5, 10_000])
+def test_event_paths_match_the_sequential_cumsum(n, form, monkeypatch):
+    if form is not None:
+        _force(form, monkeypatch)
+    x = _patchy_state(n, seed=n)
+    mass = float(np.sum(x))
+    rng, ref = np.random.default_rng(43), np.random.default_rng(43)
+    # expected totals from 1e-3 (mostly no event) to 2000 (dense at any n)
+    for total in (1e-3, 0.5, 3.0, 15.0, 60.0, 2000.0):
+        for _ in range(5):
+            idx = _event_paths(rng, total / mass, x)
+            assert idx.tolist() == _sequential_event_paths(ref, total / mass, x).tolist()
+            assert np.all(x[idx] > 0.0)
+    # both generators are still in step
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_event_paths_counts_are_independent_poisson_across_blocks(form, monkeypatch):
+    _force(form, monkeypatch)
+    n = 3 * B + 5
+    x = np.zeros(n)
+    live = np.array([0, B - 1, 2 * B, 2 * B + 1, 3 * B, 3 * B + 4])
+    x[live] = [0.3, 1.0, 2.0, 0.5, 4.5, 1.2]
+    r, reps = 0.25, 20_000
+    rng = np.random.default_rng(47)
+    counts = np.stack([np.bincount(_event_paths(rng, r, x), minlength=n)
+                       for _ in range(reps)])
+    assert not np.any(np.delete(counts, live, axis=1))
+    lam, c = r * x[live], counts[:, live]
+    assert np.all(np.abs(c.mean(axis=0) - lam) < 4 * np.sqrt(lam / reps))
+    se_var = np.sqrt((lam + 2 * lam ** 2) / reps)
+    assert np.all(np.abs(c.var(axis=0, ddof=1) - lam) < 4 * se_var)
+
+
+def _multi_block(n, values):
+    x = np.zeros(n)
+    for i, v in values.items():
+        x[i] = v
+    return x
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("u, x, path", [
+    # the last positive path sits inside block 2, a zero tail follows
+    (1.0 - 2.0 ** -53, _multi_block(4 * B + 5, {B + 3: 1.5, 2 * B + 7: 3.0}), 2 * B + 7),
+    (0.0, _multi_block(4 * B + 5, {B + 3: 1.5, 2 * B + 7: 3.0}), B + 3),
+    # a subnormal mass in the tail block: U * mass rounds up to the mass itself
+    (1.0 - 2.0 ** -53, _multi_block(3 * B + 5, {3 * B + 2: 5e-324}), 3 * B + 2),
+    (1.0 - 2.0 ** -53, _multi_block(3 * B, {B + 1: 5e-324}), B + 1),
+])
+def test_event_paths_extreme_uniforms_land_on_positive_paths_across_blocks(
+        u, x, path, form, monkeypatch):
+    _force(form, monkeypatch)
+    idx = _event_paths(_ConstUniformRng(u), 1.0 / 7.0, x)
+    assert idx.size == 7
+    assert np.all(idx == path)
+
+
+def test_block_search_key_past_its_row_goes_to_the_last_positive_path():
+    # the block edges can round above a row's own prefix sums; a key in that
+    # gap stays in its block, on the last positive path, never on a zero one
+    x = np.ones(2 * B)
+    x[B - 3:B] = 0.0
+    edges = np.array([0.0, (B - 3) + 1e-12, 2 * B - 3 + 1e-12])
+    u = np.array([1.5, (B - 3) + 5e-13, B + 0.5])
+    assert _block_search(x, edges, u).tolist() == [1, B - 4, B + 3]
+
+
+def test_block_search_keeps_a_key_in_the_block_its_edges_give():
+    # an edge can round below its row's own prefix sums; a key above that
+    # edge still goes to the next block, to its first path
+    x = np.ones(2 * B)
+    edges = np.array([0.0, B - 1e-12, 2 * B])
+    u = np.array([B - 0.5, B - 0.5e-12])
+    assert _block_search(x, edges, u).tolist() == [B - 1, B]
 
 
 def test_step_overflow_guard_threshold():
