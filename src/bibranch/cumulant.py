@@ -21,8 +21,11 @@ rule (``_clip_negative``) guards atom maps and pieces alike.
 The result is a :class:`PiecewiseSolution`: dense pieces joined by atom
 jumps.  The forward mean system of :mod:`bibranch.moments` has the same
 shape, so it uses the same solution type and the same piece solver,
-``_solve_piece``, which is the only call of ``solve_ivp`` and runs at one
-fixed tolerance set; the analytic entry points take no solver options.
+``_solve_piece``: a Dormand-Prince 5(4) stepper on two plain floats with
+the step control of scipy's RK45, at one fixed tolerance set (the analytic
+entry points take no solver options).  Its dense output evaluates the
+quartic interpolant of the one step a query falls in; a piece end returns
+the stored endpoint.
 
 The same machinery solves the weight-shifted system for integral functionals
 (see :mod:`bibranch.functionals`), which adds an accumulation density and
@@ -43,9 +46,9 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .densities import Density
 from .environment import EnvSpec, atom_info
@@ -91,8 +94,9 @@ class PiecewiseSolution:
     ``fixed`` maps an end of the range to its exact value (the terminal
     lambda of a backward solve; x0 and any terminal-atom mean of the forward
     one).  ``at(r)`` returns the right-continuous value (for the backward
-    solve, the atom at r, if any, is not applied); ``left_at(s)`` returns
-    the left limit at an atom.
+    solve, the atom at r, if any, is not applied), at a piece end the
+    integrator's own endpoint and inside a piece its dense output;
+    ``left_at(s)`` returns the left limit at an atom.
     """
 
     def __init__(self, lo, hi, segments, atom_values, fixed):
@@ -112,9 +116,11 @@ class PiecewiseSolution:
         lo, hi, dense, v_lo, v_hi = self._segments[k]
         if dense is None:
             v = v_lo if r - lo <= hi - r else v_hi
+        elif lo < r < hi:
+            v = dense(r)
         else:
-            v = dense(min(max(r, lo), hi))
-        return np.maximum(np.asarray(v, dtype=float), 0.0)
+            v = v_lo if r <= lo else v_hi
+        return np.maximum(v, 0.0)
 
     def left_at(self, s: float) -> np.ndarray:
         if s in self.atom_values:
@@ -134,8 +140,8 @@ class PiecewiseSolution:
             if dense is None:
                 seg_t, seg_v = np.array([lo, hi]), np.vstack([v_lo, v_hi])
             else:
-                seg_t = np.unique(np.clip(dense.ts, lo, hi))
-                seg_v = np.maximum(dense(seg_t).T, 0.0)
+                seg_t, seg_v = dense.points()
+                seg_v = np.maximum(seg_v, 0.0)
             if times and times[-1][-1] == seg_t[0]:
                 seg_t, seg_v = seg_t[1:], seg_v[1:]
             if seg_t.size:
@@ -174,24 +180,6 @@ def atom_step(env: EnvSpec, s: float, v_right) -> np.ndarray:
     return _clip_negative(info.cumulant_map(v), _neg_tol(v), f"t={s:g}")
 
 
-class _DenseSegment:
-    """Dense output of one smooth piece, remembering the solver's own mesh.
-
-    ``to_v`` maps the solver's coordinates back to v where they differ.
-    """
-
-    __slots__ = ("sol", "ts", "to_v")
-
-    def __init__(self, sol, to_v=None):
-        self.sol = sol.sol
-        self.ts = np.sort(sol.t)
-        self.to_v = to_v
-
-    def __call__(self, r):
-        y = self.sol(r)
-        return y if self.to_v is None else self.to_v(y)
-
-
 def _coefficients(densities):
     """Map r to the list of density values; constant densities are read once."""
     base = [float(d.values[0]) if d.knots.size == 1 else 0.0 for d in densities]
@@ -202,7 +190,7 @@ def _coefficients(densities):
     def at(r):
         vals = base.copy()
         for k, d in varying:
-            vals[k] = d(r)
+            vals[k] = float(d(r))
         return vals
 
     return at
@@ -233,14 +221,193 @@ def _make_rhs(env: EnvSpec, zeta=None):
     return rhs
 
 
-def _solve_piece(fun, start, end, y0):
-    """Integrate one smooth piece from start to end, in either direction."""
-    sol = solve_ivp(fun, (start, end), y0, method="RK45", rtol=_REL_TOL, atol=_ABS_TOL,
-                    max_step=_MAX_STEP, dense_output=True)
-    if not sol.success:
-        lo, hi = sorted((start, end))
-        raise SolverError(f"nonconvergent-step on [{lo:g}, {hi:g}]: {sol.message}")
-    return sol
+# Dormand-Prince 5(4), scipy's RK45 pair (Hairer, Norsett & Wanner, *Solving
+# ODEs I*, II.4-II.5): stage nodes, stage matrix, fifth-order weights and
+# error weights over the six stages and the FSAL stage (the zero weights of
+# stage 2 are left out), and the quartic dense-output matrix, one row per stage
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200,
+                                -22 / 525, 1 / 40)
+_P = ((1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+       -12715105075 / 11282082432),
+      (0.0, 0.0, 0.0, 0.0),
+      (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+       87487479700 / 32700410799),
+      (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+       -10690763975 / 1880347072),
+      (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+       701980252875 / 199316789632),
+      (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+      (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423))
+# scipy's step control: safety factor, limits on one change of the step, and
+# the exponent -1/(q + 1) of the fourth-order error estimate
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_EXP = 0.9, 0.2, 10.0, -1 / 5
+
+
+class _Dense:
+    """Dense output of one smooth piece: the steps ``_solve_piece`` accepted.
+
+    ``ts`` and ``ys`` hold the step times, in the order taken, and the
+    solver's values there; ``ks`` holds each step's seven stages.  A query
+    evaluates the quartic interpolant of the one step it falls in, the
+    earlier one at a step time, as scipy's ``OdeSolution`` does.  ``to_v``
+    maps the solver's coordinates back to v where they differ.
+    """
+
+    __slots__ = ("ts", "ys", "ks", "to_v")
+
+    def __init__(self, t: float, y: tuple):
+        self.ts, self.ys, self.ks, self.to_v = [t], [y], [], None
+
+    def __call__(self, r):
+        """The value at r, shape (2,), or at each of an array of times, shape (2, n)."""
+        if np.ndim(r):
+            y = np.array([self._interpolate(float(x)) for x in np.ravel(r)]).T.reshape(2, -1)
+        else:
+            y = np.array(self._interpolate(float(r)))
+        return y if self.to_v is None else self.to_v(y)
+
+    def _interpolate(self, r: float):
+        ts, n = self.ts, len(self.ks)
+        if n == 0:
+            return self.ys[0]
+        # the number of step times before r in the direction of integration
+        if ts[-1] > ts[0]:
+            before = bisect.bisect_left(ts, r)
+        else:
+            before = bisect.bisect_left(ts, -r, key=operator.neg)
+        k = min(max(before - 1, 0), n - 1)
+        h = ts[k + 1] - ts[k]
+        x = (r - ts[k]) / h
+        x2 = x * x
+        x3 = x2 * x
+        x4 = x3 * x
+        out = []
+        for i, y_old in enumerate(self.ys[k]):
+            acc = 0.0
+            for kv, row in zip(self.ks[k], _P):
+                acc += kv[i] * (row[0] * x + row[1] * x2 + row[2] * x3 + row[3] * x4)
+            out.append(y_old + h * acc)
+        return out
+
+    def points(self):
+        """(times, values): the step times, ascending, and the values there, shape (n, 2)."""
+        ts, ys = np.array(self.ts), np.array(self.ys)
+        if self.to_v is not None:
+            ys = self.to_v(ys.T).T
+        return (ts, ys) if ts[-1] >= ts[0] else (ts[::-1], ys[::-1])
+
+
+_SQRT2 = 2 ** 0.5
+
+
+def _rms(a: float, b: float) -> float:
+    return math.sqrt(a * a + b * b) / _SQRT2
+
+
+def _first_step(fun, t, y, f, direction, length):
+    """scipy's ``select_initial_step`` for the fourth-order error estimate."""
+    s0 = _ABS_TOL + abs(y[0]) * _REL_TOL
+    s1 = _ABS_TOL + abs(y[1]) * _REL_TOL
+    d0 = _rms(y[0] / s0, y[1] / s1)
+    d1 = _rms(f[0] / s0, f[1] / s1)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, length)
+    g0, g1 = fun(t + h0 * direction, (y[0] + h0 * direction * f[0],
+                                      y[1] + h0 * direction * f[1]))
+    d2 = _rms((g0 - f[0]) / s0, (g1 - f[1]) / s1) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, length, _MAX_STEP)
+
+
+def _dp_step(fun, t, y, f, h):
+    """One Dormand-Prince step of size h from (t, y) with f = fun(t, y).
+
+    Returns the fifth-order value at t + h, the seven stages (the last one
+    is fun there) and the two components of the error estimate over h.
+    """
+    y0, y1 = y
+    k10, k11 = f
+    k20, k21 = fun(t + _C2 * h, (y0 + _A21 * k10 * h, y1 + _A21 * k11 * h))
+    k30, k31 = fun(t + _C3 * h, (y0 + (_A31 * k10 + _A32 * k20) * h,
+                                 y1 + (_A31 * k11 + _A32 * k21) * h))
+    k40, k41 = fun(t + _C4 * h, (y0 + (_A41 * k10 + _A42 * k20 + _A43 * k30) * h,
+                                 y1 + (_A41 * k11 + _A42 * k21 + _A43 * k31) * h))
+    k50, k51 = fun(t + _C5 * h,
+                   (y0 + (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40) * h,
+                    y1 + (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41) * h))
+    k60, k61 = fun(t + h,
+                   (y0 + (_A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40 + _A65 * k50) * h,
+                    y1 + (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51) * h))
+    y_new = (y0 + h * (_B1 * k10 + _B3 * k30 + _B4 * k40 + _B5 * k50 + _B6 * k60),
+             y1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61))
+    k70, k71 = fun(t + h, y_new)
+    e0 = _E1 * k10 + _E3 * k30 + _E4 * k40 + _E5 * k50 + _E6 * k60 + _E7 * k70
+    e1 = _E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71
+    stages = ((k10, k11), (k20, k21), (k30, k31), (k40, k41), (k50, k51), (k60, k61),
+              (k70, k71))
+    return y_new, stages, e0, e1
+
+
+def _solve_piece(fun, start, end, y0) -> _Dense:
+    """Integrate one smooth piece from start to end, in either direction.
+
+    Dormand-Prince 5(4) on two plain floats with the step control of scipy's
+    RK45 (RMS error norm, first step, minimum step of 10 ulp) at the one
+    tolerance set, so it accepts the steps RK45 would, up to the rounding of
+    the error estimate.  ``fun(r, y)`` returns the two derivatives.  A step
+    that must shrink below the minimum, as on a NaN derivative, raises
+    :class:`SolverError`.
+    """
+    t = float(start)
+    y = (float(y0[0]), float(y0[1]))
+    dense = _Dense(t, y)
+    if end == start:
+        return dense
+    direction = 1.0 if end > start else -1.0
+    f0, f1 = fun(t, y)
+    f = (f0, f1)
+    h_abs = _first_step(fun, t, y, f, direction, abs(end - t))
+    while direction * (t - end) < 0:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        if h_abs > _MAX_STEP:
+            h_abs = _MAX_STEP
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # also a NaN step
+                lo, hi = sorted((start, end))
+                raise SolverError(f"nonconvergent-step on [{lo:g}, {hi:g}]: required "
+                                  f"step size is less than spacing between numbers at {t:g}")
+            t_new = t + h_abs * direction
+            if direction * (t_new - end) > 0:
+                t_new = end
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, ks, e0, e1 = _dp_step(fun, t, y, f, h)
+            err = _rms(e0 * h / (_ABS_TOL + max(abs(y[0]), abs(y_new[0])) * _REL_TOL),
+                       e1 * h / (_ABS_TOL + max(abs(y[1]), abs(y_new[1])) * _REL_TOL))
+            if err < 1:
+                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXP)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXP)
+            rejected = True
+        dense.ts.append(t_new)
+        dense.ys.append(y_new)
+        dense.ks.append(ks)
+        t, y, f = t_new, y_new, ks[-1]
+    return dense
 
 
 # finite stand-in for an infinite coordinate inside the right-hand side: its
@@ -328,12 +495,13 @@ def _piece_from_infinity(env, rhs, lo, hi, v, neg_tol):
             out[i] = np.where(yi > floor[i], yi ** -power[i], math.inf)
         return out
 
-    sol = _solve_piece(fun, r0, lo, y0)
-    v_new = to_v(sol.y[:, -1])
+    dense = _solve_piece(fun, r0, lo, y0)
+    dense.to_v = to_v
+    v_new = to_v(np.array(dense.ys[-1]))
     if any(math.isinf(v_new[i]) for i in blow):
         raise SolverError(f"unresolved-blow-up on [{lo:g}, {hi:g}]: {v_new}")
     v_new = _clip_negative(v_new, neg_tol, f"r={lo:g}")
-    return (lo, hi, _DenseSegment(sol, to_v), v_new, v.copy()), v_new
+    return (lo, hi, dense, v_new, v.copy()), v_new
 
 
 def _integrate_backward(env, t, lam, zeta=None, r_end=0.0):
@@ -376,9 +544,9 @@ def _integrate_backward(env, t, lam, zeta=None, r_end=0.0):
             segment, v = _piece_from_infinity(env, rhs, lo, hi, v, neg_tol)
             segments.append(segment)
         else:
-            sol = _solve_piece(rhs, hi, lo, v)
-            v_new = _clip_negative(sol.y[:, -1], neg_tol, f"r={lo:g}")
-            segments.append((lo, hi, _DenseSegment(sol), v_new, v.copy()))
+            dense = _solve_piece(rhs, hi, lo, v)
+            v_new = _clip_negative(np.array(dense.ys[-1]), neg_tol, f"r={lo:g}")
+            segments.append((lo, hi, dense, v_new, v.copy()))
             v = v_new
         if lo in atom_set:
             v = apply_atom(lo, v)

@@ -27,8 +27,7 @@ import math
 
 import numpy as np
 
-from .cumulant import (PiecewiseSolution, _DenseSegment, _clip_negative, _coefficients,
-                       _neg_tol, _solve_piece)
+from .cumulant import PiecewiseSolution, _clip_negative, _coefficients, _neg_tol, _solve_piece
 from .environment import EnvSpec, atom_info, bar_b
 
 __all__ = ["first_moment", "moment_bound"]
@@ -60,9 +59,9 @@ def first_moment(env: EnvSpec, x0, t: float) -> PiecewiseSolution:
     segments = []
     atom_values = {}
     for lo, hi in zip(hard[:-1], hard[1:]):
-        sol = _solve_piece(rhs, lo, hi, m)
-        m = sol.y[:, -1]
-        segments.append((lo, hi, _DenseSegment(sol), None, None))
+        dense = _solve_piece(rhs, lo, hi, m)
+        m_start, m = m, np.array(dense.ys[-1])
+        segments.append((lo, hi, dense, m_start, m))
         info = atom_info(env, hi) if hi in atom_set else None
         if info is not None:
             m_left = m.copy()

@@ -157,14 +157,25 @@ class _Channel:
     sample: object  # callable (rng, n) -> (n, 2) normalized draws
 
 
+# the largest mesh a plan builds: its per-interval arrays (about a dozen float
+# vectors) and its mesh-point index take about 250 MB at this size
+_MAX_MESH_STEPS = 10 ** 6
+
+
 class _StepPlan:
     def __init__(self, env: EnvSpec, t0: float, t: float, opts: SimOptions,
                  checkpoints=(), zeta=None):
         self.opts = opts
         required = env.hard_points(t0, t, zeta, extra=checkpoints)
+        spans = list(zip(required[:-1], required[1:]))
+        # clipped in floating point first, so that no step size can overflow the count
+        counts = [max(1, math.ceil(min((b - a) / opts.step - 1e-12, _MAX_MESH_STEPS + 1.0)))
+                  for a, b in spans]
+        if sum(counts) > _MAX_MESH_STEPS:
+            raise ValueError(f"step {opts.step:g} on [{t0:g}, {t:g}] needs more than "
+                             f"{_MAX_MESH_STEPS} mesh steps")
         mesh = [np.array([t0])]
-        for a, b in zip(required[:-1], required[1:]):
-            k = max(1, int(math.ceil((b - a) / opts.step - 1e-12)))
+        for (a, b), k in zip(spans, counts):
             mesh.append(np.linspace(a, b, k + 1)[1:])
         self.mesh = np.concatenate(mesh)
         left = self.mesh[:-1]
@@ -388,7 +399,8 @@ class _Coupled:
             Z = sample(rng, idx.size)
             for rows in (slice(0, h), slice(h, 2 * h)):
                 keep = u < x[rows][idx]
-                _add_marks(idx[keep], Z[keep], out0[rows], out1[rows])
+                if keep.any():
+                    _add_marks(idx[keep], Z[keep], out0[rows], out1[rows])
 
 
 _INDEPENDENT = _Independent()

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,3 +31,13 @@ def test_package_imports_only_exported_names():
         exported = importlib.import_module(f"bibranch.{node.module}").__all__
         for alias in node.names:
             assert alias.name in exported, f"{alias.name} is not in bibranch.{node.module}.__all__"
+
+
+def test_package_import_leaves_scipy_integrate_out():
+    # the piece solver is the package's own; importing scipy.integrate would
+    # add about a third to the import time and memory
+    src = str(Path(bibranch.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c",
+                    "import bibranch, sys; assert 'scipy.integrate' not in sys.modules"],
+                   env=env, check=True, timeout=120)

@@ -175,6 +175,11 @@ def test_cli_simulate_json(cfg_file, tmp_path):
     assert len(payload["checkpoints"]) == 2
 
 
+def test_cli_simulate_mesh_beyond_the_cap_is_a_usage_error(cfg_file, capsys):
+    assert main(["simulate", str(cfg_file), "--t", "1", "--step", "1e-9"]) == 1
+    assert "more than 1000000 mesh steps" in capsys.readouterr().err
+
+
 def test_cli_functional(cfg_file, tmp_path, capsys):
     out = tmp_path / "u.csv"
     assert main(["functional", str(cfg_file), "--r", "0.0", "--out", str(out)]) == 0

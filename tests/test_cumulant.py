@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import bibranch.cumulant
+import bibranch.moments
 from bibranch.cumulant import (
     SolverError,
     atom_step,
@@ -18,6 +20,7 @@ from bibranch.densities import Density
 from bibranch.densities import SignedMeasure1D
 from bibranch.environment import JumpKernel
 from bibranch.measures import Dirac, StableAxis
+from bibranch.moments import first_moment
 from bibranch.verify import atom_rich_env, feller_embed_env, stable_jump_env, suite
 
 from conftest import atoms_only, const, feller_env, make_env, random_env
@@ -128,10 +131,7 @@ def test_atom_step_is_the_solver_atom_map(lam):
     for s in env.atom_times(0.0, 1.0):
         right = sol.atom_values[s][1]
         assert np.array_equal(atom_step(env, s, right), sol.left_at(s))
-        if np.all(np.isfinite(right)):
-            assert sol.at(s) == pytest.approx(right, rel=1e-12)
-        else:
-            assert np.array_equal(sol.at(s), right)
+        assert np.array_equal(sol.at(s), right)
 
 
 def test_atom_step_positivity_guard():
@@ -415,3 +415,104 @@ def test_terminal_time_atom_is_applied():
     assert sol.at(1.0) == pytest.approx([2.0, 0.0])
     assert sol.left_at(1.0) == pytest.approx([1.0, 0.0])
     assert sol.at(0.3) == pytest.approx([1.0, 0.0])
+
+
+# -- the piece stepper against scipy's RK45 ------------------------------------
+
+def _assert_close(ours, ref, scale):
+    # relative to the largest value of each component on the piece
+    assert np.all(np.abs(ours - ref) <= 1e-13 * scale), (ours, ref)
+
+
+def _assert_steps_of_solve_ivp(fun, start, end, y0):
+    """Solve one piece with the stepper and with solve_ivp at the same tolerances."""
+    nfev = [0]
+
+    def counted(r, y):
+        nfev[0] += 1
+        return fun(r, y)
+
+    dense = bibranch.cumulant._solve_piece(counted, start, end, y0)
+    ref = solve_ivp(fun, (start, end), y0, method="RK45", rtol=bibranch.cumulant._REL_TOL,
+                    atol=bibranch.cumulant._ABS_TOL, max_step=bibranch.cumulant._MAX_STEP,
+                    dense_output=True)
+    ts, ys = np.array(dense.ts), np.array(dense.ys).T
+    # the error estimate is a sum of stages that cancels, so its order of
+    # summation (BLAS in scipy, left to right here) moves it by up to about
+    # 1e-6 relative: the step sizes agree to that level, not bit for bit.
+    # The same evaluation count means the same rejected steps too.
+    assert (ts.size, nfev[0]) == (ref.t.size, ref.nfev)
+    assert np.all(np.abs(ts[1:] - ref.t[1:]) <= 1e-3 * np.abs(np.diff(ref.t)))
+    scale = np.max(np.abs(ref.y), axis=1)
+    _assert_close(ys[:, -1], ref.y[:, -1], scale)
+    mid = 0.5 * (ts[1:] + ts[:-1])
+    ours = np.array([dense._interpolate(r) for r in mid]).reshape(-1, 2).T
+    _assert_close(ours, ref.sol(mid).reshape(2, -1), scale[:, None])
+
+
+@pytest.mark.parametrize("sc", {repr(sc.env): sc for sc in suite()}.values(),  # distinct envs
+                         ids=lambda sc: sc.name)
+def test_stepper_takes_the_steps_of_solve_ivp(sc, monkeypatch):
+    # every piece of a backward solve, a from-infinity sweep and a forward
+    # mean, replayed through solve_ivp at the same tolerances
+    calls = []
+    stepper = bibranch.cumulant._solve_piece
+
+    def spy(fun, start, end, y0):
+        calls.append((fun, start, end, np.array(y0, dtype=float)))
+        return stepper(fun, start, end, y0)
+
+    monkeypatch.setattr(bibranch.cumulant, "_solve_piece", spy)
+    monkeypatch.setattr(bibranch.moments, "_solve_piece", spy)
+    solve_backward(sc.env, 1.0, (2.0, 1.0))
+    v_infinity(sc.env, 1.0)
+    first_moment(sc.env, sc.x0, 1.0)
+    monkeypatch.undo()
+    assert calls
+    for call in calls:
+        _assert_steps_of_solve_ivp(*call)
+
+
+def test_stepper_rejects_and_regrows_as_solve_ivp_does():
+    # a narrow pulse: solve_ivp rejects 16 steps, some by the largest cut
+    def pulse(r, y):
+        return (1e3 * math.exp(-((r - 0.4) / 0.01) ** 2), -1e-3 * y[0] * y[1])
+
+    _assert_steps_of_solve_ivp(pulse, 0.0, 1.0, np.array([1.0, 1.0]))
+
+
+def test_stepper_nan_derivative_raises():
+    calls = []
+
+    def nan_after(r, y):
+        calls.append(r)
+        return (math.nan if r < 0.5 else -y[0], -y[1])
+
+    with pytest.raises(SolverError, match="nonconvergent-step on \\[0, 1\\]"):
+        bibranch.cumulant._solve_piece(nan_after, 1.0, 0.0, (1.0, 1.0))
+    assert len(calls) < 2000
+    with pytest.raises(SolverError, match="nonconvergent-step"):
+        bibranch.cumulant._solve_piece(lambda r, y: (math.nan, 0.0), 0.0, 1.0, (1.0, 1.0))
+
+
+def test_stepper_zero_length_piece():
+    def never(r, y):
+        raise AssertionError("a zero-length piece evaluates nothing")
+
+    dense = bibranch.cumulant._solve_piece(never, 0.3, 0.3, (1.0, 2.0))
+    assert dense.ts == [0.3] and dense.ks == []
+    assert np.array_equal(dense(0.3), [1.0, 2.0])
+    ts, ys = dense.points()
+    assert np.array_equal(ts, [0.3]) and np.array_equal(ys, [[1.0, 2.0]])
+
+
+def test_dense_output_takes_scalars_and_arrays():
+    dense = bibranch.cumulant._solve_piece(lambda r, y: (-y[0], -2.0 * y[1]), 1.0, 0.0,
+                                          (1.0, 1.0))
+    rs = np.array([0.05, 0.5, 0.95])
+    many = dense(rs)
+    assert many.shape == (2, 3)
+    for k, r in enumerate(rs):
+        assert np.array_equal(dense(r), many[:, k])
+        assert dense(r) == pytest.approx([math.exp(1.0 - r), math.exp(2.0 * (1.0 - r))],
+                                         rel=1e-9)

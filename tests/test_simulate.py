@@ -502,6 +502,28 @@ def test_step_overflow_guard_threshold():
                                  NoiseStream(41))
 
 
+@pytest.mark.parametrize("step", [1e-9, 5e-324])
+def test_mesh_beyond_the_cap_is_rejected_at_once(step):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than 1000000 mesh steps"):
+            simulate_ensemble(feller_env(), (1.0, 0.0), 1.0, (1.0,), [], 16,
+                              SimOptions(step=step), NoiseStream(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_mesh_cap_counts_every_piece(monkeypatch):
+    # two pieces of 50 steps each fill the cap; at 51 each they go beyond it
+    monkeypatch.setattr(simulate, "_MAX_MESH_STEPS", 100)
+    env = make_env(b11=atoms_only((0.5, 0.1)))
+    assert len(_StepPlan(env, 0.0, 1.0, SimOptions(step=0.01)).mesh) == 101
+    with pytest.raises(ValueError, match="more than 100 mesh steps"):
+        _StepPlan(env, 0.0, 1.0, SimOptions(step=0.0099))
+
+
 def test_negative_start_rejected():
     env = make_env(m1=JumpKernel(((Density.constant(1.0), Dirac((1.0, 0.0), 1.0)),)),
                    m2=JumpKernel((), ((0.5, Dirac((0.0, 0.2), 1.0)),)))
