@@ -197,7 +197,11 @@ def _coefficients(densities):
 
 
 def _make_rhs(env: EnvSpec, zeta=None):
-    jumps = [(i, meas) for i in range(2) for _, meas in env.m[i].density_components]
+    jumps = []
+    for i in range(2):
+        for _, meas in env.m[i].density_components:
+            meas.compensated_exponent(i, (0.0, 0.0))  # its validation, once per solve
+            jumps.append((i, meas._exponent))
     densities = [env.b[0][0].density, env.b[1][1].density, env.b[0][1].density,
                  env.b[1][0].density, env.c[0].density, env.c[1].density]
     densities += [rate for i in range(2) for rate, _ in env.m[i].density_components]
@@ -209,10 +213,9 @@ def _make_rhs(env: EnvSpec, zeta=None):
         b11, b22, b12, b21, c1, c2, *rest = coef(r)
         v1 = v[0] if v[0] > 0.0 else 0.0
         v2 = v[1] if v[1] > 0.0 else 0.0
-        vv = (v1, v2)
         d = [v1 * b11 - v2 * b12 + v1 * v1 * c1, v2 * b22 - v1 * b21 + v2 * v2 * c2]
-        for (i, meas), rate in zip(jumps, rest):
-            d[i] += rate * meas.compensated_exponent(i, vv)
+        for (i, exponent), rate in zip(jumps, rest):
+            d[i] += rate * exponent(i, v1, v2)
         if zeta is not None:
             d[0] -= rest[-2]
             d[1] -= rest[-1]

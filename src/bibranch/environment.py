@@ -11,6 +11,7 @@ bound delta_i(t) <= 1.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -73,12 +74,31 @@ class JumpKernel:
 
 @dataclass(frozen=True)
 class EnvSpec:
-    """Immutable environment data for a two-type branching model."""
+    """Immutable environment data for a two-type branching model.
+
+    The sorted atom times and density knots of all coefficients are computed
+    once, at construction, so the window queries below are bisections.
+    """
 
     b: tuple  # 2x2 of SignedMeasure1D; b[i][j]
     c: tuple  # 2 of SignedMeasure1D (empty atoms)
     m: tuple  # 2 of JumpKernel
     horizon: float
+    _atoms: list = field(init=False, repr=False, compare=False)
+    _knots: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        atoms, knots = set(), set()
+        for i in range(2):
+            for j in range(2):
+                atoms.update(self.b[i][j].atom_times)
+                knots.update(self.b[i][j].density.knots.tolist())
+            atoms.update(self.m[i].atom_times)
+            knots.update(self.c[i].density.knots.tolist())
+            for rate, _ in self.m[i].density_components:
+                knots.update(rate.knots.tolist())
+        object.__setattr__(self, "_atoms", sorted(atoms))
+        object.__setattr__(self, "_knots", sorted(knots))
 
     @classmethod
     def zero(cls, horizon: float = 1.0) -> "EnvSpec":
@@ -92,23 +112,16 @@ class EnvSpec:
 
     def atom_times(self, lo: float, hi: float, extra=()):
         """All environment atom times in the half-open window (lo, hi]."""
-        times = set()
-        for i in range(2):
-            for j in range(2):
-                times.update(t for t, _ in self.b[i][j].atoms_in(lo, hi))
-            times.update(t for t in self.m[i].atom_times if lo < t <= hi)
-        times.update(t for t in extra if lo < t <= hi)
-        return sorted(times)
+        atoms = self._atoms
+        times = atoms[bisect.bisect_right(atoms, lo):bisect.bisect_right(atoms, hi)]
+        if extra:
+            times = sorted({*times, *(t for t in extra if lo < t <= hi)})
+        return times
 
     def density_breakpoints(self, lo: float, hi: float):
-        pts = set()
-        for i in range(2):
-            for j in range(2):
-                pts.update(self.b[i][j].density.breakpoints(lo, hi))
-            pts.update(self.c[i].density.breakpoints(lo, hi))
-            for rate, _ in self.m[i].density_components:
-                pts.update(rate.breakpoints(lo, hi))
-        return sorted(pts)
+        """All density knot times in the open window (lo, hi)."""
+        knots = self._knots
+        return knots[bisect.bisect_right(knots, lo):bisect.bisect_left(knots, hi)]
 
     def hard_points(self, lo: float, hi: float, zeta=None, extra=()):
         """Sorted points on [lo, hi] that no integrator may step across.

@@ -68,7 +68,9 @@ class Dirac:
         return self.weight * self.z[i]
 
     def compensated_exponent(self, i: int, lam) -> float:
-        l1, l2 = _as_pair(lam)
+        return self._exponent(i, *_as_pair(lam))
+
+    def _exponent(self, i: int, l1: float, l2: float) -> float:
         dot = l1 * self.z[0] + l2 * self.z[1]
         return self.weight * (math.exp(-dot) - 1.0 + (l1, l2)[i] * self.z[i])
 
@@ -124,7 +126,9 @@ class ExpProduct:
         return (self.theta1 / (self.theta1 + l1)) * (self.theta2 / (self.theta2 + l2))
 
     def compensated_exponent(self, i: int, lam) -> float:
-        l1, l2 = _as_pair(lam)
+        return self._exponent(i, *_as_pair(lam))
+
+    def _exponent(self, i: int, l1: float, l2: float) -> float:
         li = (l1, l2)[i]
         return self.weight * (self._laplace(l1, l2) - 1.0 + li / (self.theta1, self.theta2)[i])
 
@@ -170,13 +174,22 @@ def _stable_const(alpha: float) -> float:
 def _capped_stable_small(alpha: float, x: float, cap: float) -> float:
     """integral over (0, cap] of (exp(-lam z) - 1 + lam z) z^(-1-alpha) dz with x = lam*cap.
 
-    For moderate x uses the cancellation-free series
-    cap^(-alpha) * sum_{n>=2} (-x)^n / (n! (n - alpha)); for large x the
-    upper-incomplete-gamma route is stable.
+    Two regimes, each within 1.3e-15 relative of 50-digit reference values
+    (x from 1e-8 to 1e3, alpha 1.2, 1.5 and 1.9; see tests/test_measures.py):
+
+    * x < 0.5: the series cap^(-alpha) * sum_{n>=2} (-x)^n / (n! (n - alpha)),
+      each term under an eighth of the one before, so nothing cancels;
+    * x >= 0.5: integration by parts twice in u = lam z gives the closed form
+
+          lam^alpha [-(e^-x - 1 + x) x^-alpha / alpha
+                     + ((e^-x - 1) x^(1-alpha) + gamma(2 - alpha, x)) / (alpha (alpha - 1))]
+
+      with the lower incomplete gamma function gamma(2 - alpha, x); its terms
+      cancel by less as x grows, at most about one digit at x = 0.5.
     """
     if x == 0.0:
         return 0.0
-    if x < 25.0:
+    if x < 0.5:
         acc = 0.0
         term = 1.0  # (-x)^n / n! running factor, starting at n=0
         for n in range(1, 200):
@@ -184,16 +197,14 @@ def _capped_stable_small(alpha: float, x: float, cap: float) -> float:
             if n >= 2:
                 contrib = term / (n - alpha)
                 acc += contrib
-                if abs(contrib) < 1e-18 * (abs(acc) + 1e-300) and n > x + 8:
+                if abs(contrib) < 1e-18 * (abs(acc) + 1e-300):
                     break
         return cap ** (-alpha) * acc
-    # Gamma(-alpha, x) by downward recursion from the regularized upper gamma
-    g2 = sc.gammaincc(2.0 - alpha, x) * sc.gamma(2.0 - alpha)
-    g1 = (g2 - x ** (1.0 - alpha) * math.exp(-x)) / (1.0 - alpha)
-    g0 = (g1 - x ** (-alpha) * math.exp(-x)) / (-alpha)
-    lam = x / cap
-    tail = lam ** alpha * g0 - cap ** (-alpha) / alpha + lam * cap ** (1.0 - alpha) / (alpha - 1.0)
-    return _stable_const(alpha) * lam ** alpha - tail
+    a = alpha
+    em1 = math.expm1(-x)
+    lower = sc.gamma(2.0 - a) * sc.gammainc(2.0 - a, x)
+    return (x / cap) ** a * (-(em1 + x) * x ** (-a) / a
+                             + (em1 * x ** (1.0 - a) + lower) / (a * (a - 1.0)))
 
 
 @dataclass(frozen=True)
@@ -230,6 +241,9 @@ class StableAxis:
             raise UncompensatedStableError(
                 "stable component on axis %d inside a kernel compensating axis %d" % (self.axis, i)
             )
+        return self._exponent(i, l1, l2)
+
+    def _exponent(self, i: int, l1: float, l2: float) -> float:
         la = (l1, l2)[self.axis]
         return self.weight * _stable_const(self.alpha) * la ** self.alpha
 
@@ -302,7 +316,9 @@ class CappedExpProduct:
         return self.weight * self._m1((self.theta1, self.theta2)[i])
 
     def compensated_exponent(self, i: int, lam) -> float:
-        l1, l2 = _as_pair(lam)
+        return self._exponent(i, *_as_pair(lam))
+
+    def _exponent(self, i: int, l1: float, l2: float) -> float:
         li = (l1, l2)[i]
         prod = self._l1(l1, self.theta1) * self._l1(l2, self.theta2)
         return self.weight * (prod - 1.0 + li * self._m1((self.theta1, self.theta2)[i]))
@@ -379,6 +395,9 @@ class CappedStableAxis:
             raise UncompensatedStableError(
                 "stable component on axis %d inside a kernel compensating axis %d" % (self.axis, i)
             )
+        return self._exponent(i, l1, l2)
+
+    def _exponent(self, i: int, l1: float, l2: float) -> float:
         la = (l1, l2)[self.axis]
         a, c = self.alpha, self.cap
         small = _capped_stable_small(a, la * c, c)

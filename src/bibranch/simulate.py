@@ -32,8 +32,9 @@ mean's jump maps:
 
 where path i draws Poisson(X_p,i(s-) * mass) marks of each jump atom of m_p.
 
-States are clamped at zero after every step; extinction is exact membership
-of the origin.
+States are clamped at zero after every step, in the columns that noise or a
+negative coefficient can take below zero (a start of -0.0 enters as +0.0);
+extinction is exact membership of the origin.
 
 The state of n paths is one column-major (n, 2) array, so each type's column
 is contiguous.  A run owns three such buffers and two length-n scratch
@@ -45,11 +46,12 @@ does only on a step with many events (its cumsum of all paths), and so does
 the coupled source when it joins its two sheet normals (drawn into the
 scratch) per copy.  Terms that are zero on the whole mesh (a cross feed) or
 on a whole interval (a weight density) are dropped when the plan is compiled.
-Adding an exact zero can only turn -0.0 into +0.0, which the clamp at zero
-does too, so every output byte stays as it was.  A plan that draws no random
-number (no diffusion, Gaussian term, live channel or atom jump) moves every
-row of an ensemble's identical start the same way, so the ensemble steps one
-row and tiles its snapshots.
+Adding an exact zero can only turn -0.0 into +0.0, and no state holds -0.0
+(a clamped column is clamped, and the others add nonnegative terms to a
+start of +0.0 or more), so every output byte stays as it was.  A plan that
+draws no random number (no diffusion, Gaussian term, live channel or atom
+jump) moves every row of an ensemble's identical start the same way, so the
+ensemble steps one row and tiles its snapshots.
 
 Coupled pairs take the same step on one column-major (2h, 2) state, low
 copies in rows [0, h) and high copies in rows [h, 2h); only the
@@ -217,6 +219,12 @@ class _StepPlan:
         self.has_feed = tuple(bool(np.any(f != 0.0)) for f in self.lin_feed)
         self.diff_coef = tuple(2.0 * c[i] * self.dts for i in range(2))
         self.gvar_dt = tuple(gvar[i] * self.dts for i in range(2))
+        # without noise or a negative coefficient a column is a sum of nonnegative
+        # terms (marks are nonnegative), so only the other columns need the clamp
+        self.clamp = tuple(
+            self.has_diffusion[i] or bool(np.any(self.gvar_dt[i] > 0))
+            or bool(np.any(self.lin_keep[i] < 0)) or bool(np.any(self.lin_feed[i] < 0))
+            for i in range(2))
 
         atom_times = set(env.atom_times(t0, t))
         self.atom_at = {k: atom_info(env, s) for k, s in enumerate(self.mesh) if s in atom_times}
@@ -335,8 +343,8 @@ def _add_marks(idx, Z, out0, out1):
     The marks of each distinct row are summed by ``bincount`` over the rows'
     ranks, in event order from 0.0, and added to that row only: bit for bit
     the full-length ``out += bincount(idx, ...)`` on every row with events.
-    The two differ only on a -0.0 entry without events, which the step's
-    clamp turns into +0.0 anyway.
+    The two differ only on a -0.0 entry without events, and no state holds
+    -0.0 (module docstring).
     """
     first = np.empty(idx.size, dtype=bool)
     first[:1] = True
@@ -397,10 +405,11 @@ class _Coupled:
             # U * top < top for U < 1, and a zero copy never keeps a mark
             u = rng.random(idx.size) * top[idx]
             Z = sample(rng, idx.size)
-            for rows in (slice(0, h), slice(h, 2 * h)):
-                keep = u < x[rows][idx]
-                if keep.any():
-                    _add_marks(idx[keep], Z[keep], out0[rows], out1[rows])
+            low, high = u < x[:h][idx], u < x[h:][idx]
+            # low rows come first, so the joined rows stay sorted
+            rows = np.concatenate([idx[low], idx[high] + h])
+            if rows.size:
+                _add_marks(rows, np.concatenate([Z[low], Z[high]]), out0, out1)
 
 
 _INDEPENDENT = _Independent()
@@ -440,7 +449,11 @@ def _euler_step(plan: _StepPlan, k: int, X: np.ndarray, rng, src, out, work) -> 
         r = ch.rates_dt[k]
         if r != 0.0:
             src.jumps(rng, r, X[:, ch.p], ch.sample, plan.opts.jump_count_guard, new0, new1)
-    return np.maximum(out, 0.0, out=out)
+    if plan.clamp[0]:
+        np.maximum(new0, 0.0, out=new0)
+    if plan.clamp[1]:
+        np.maximum(new1, 0.0, out=new1)
+    return out
 
 
 def _atom_apply(atom: AtomInfo, X: np.ndarray, rng, src=_INDEPENDENT,
@@ -464,7 +477,8 @@ def _tile(x0, n: int) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (2,) or np.any(x0 < 0):
         raise ValueError("x0 must be a nonnegative 2-vector")
-    return np.asfortranarray(np.tile(x0, (n, 1)))
+    # + 0.0 turns -0.0 into +0.0, so an unclamped column never holds -0.0
+    return np.asfortranarray(np.tile(x0 + 0.0, (n, 1)))
 
 
 def _run(plan: _StepPlan, X: np.ndarray, rng, collectors=(), src=_INDEPENDENT):

@@ -40,7 +40,7 @@ from bibranch.simulate import (
     simulate_ensemble,
     simulate_path,
 )
-from bibranch.verify import atom_rich_env, dirac_cross_env, stable_jump_env
+from bibranch.verify import atom_rich_env, dirac_cross_env, feller_embed_env, stable_jump_env
 
 from conftest import atoms_only, const, feller_env, make_env
 
@@ -128,6 +128,48 @@ def test_only_the_draw_free_case_steps_one_row():
         assert not _StepPlan(env, 0.0, 1.0, opts).draws_nothing
 
 
+# -- clamp at zero --------------------------------------------------------------
+
+
+def test_only_columns_that_can_go_negative_are_clamped():
+    opts = SimOptions(step=STEP)
+    # diffusion on type 1 only
+    assert _StepPlan(feller_embed_env(), 0.0, 1.0, opts).clamp == (True, False)
+    # drift, cross feed and jumps, all with nonnegative coefficients at this step
+    assert _StepPlan(dirac_cross_env(), 0.0, 1.0, opts).clamp == (False, False)
+    # b11 * step > 1 makes lin_keep negative: the clamp must stay
+    steep = make_env(b11=const(1.5 / STEP), b12=const(0.2))
+    plan = _StepPlan(steep, 0.0, 1.0, opts)
+    assert np.all(plan.lin_keep[0] < 0)
+    assert plan.clamp == (True, False)
+    # a Gaussian small-jump term on type 1
+    gaussian = SimOptions(step=STEP, small_jump_mode="gaussian")
+    assert _StepPlan(stable_jump_env(), 0.0, 1.0, gaussian).clamp == (True, False)
+    assert _StepPlan(stable_jump_env(), 0.0, 1.0, opts).clamp == (False, False)
+
+
+@pytest.mark.parametrize("env", [dirac_cross_env(), atom_rich_env()],
+                         ids=["dirac-cross", "atom-rich"])
+def test_skipped_clamp_leaves_the_bytes_of_a_full_clamp(env):
+    opts, times = SimOptions(step=STEP), (0.5, 1.0)
+    snaps = []
+    for clamp in (None, (True, True)):
+        plan = _StepPlan(env, 0.0, 1.0, opts, checkpoints=times)
+        assert plan.clamp == (False, False)
+        plan.clamp = clamp or plan.clamp
+        snap = _SnapshotCollector(times)
+        _run(plan, _tile((1.0, 1.0), N), NoiseStream(12).substream("s"), (snap,))
+        snaps.append(_digest(*snap.snaps.values()))
+    assert snaps[0] == snaps[1]
+
+
+def test_negative_zero_start_gives_the_bytes_of_a_zero_start():
+    assert _tile((-0.0, 1.0), 3).tobytes() == _tile((0.0, 1.0), 3).tobytes()
+    digests = {_ensemble(dirac_cross_env(), x0, (0.0, 0.5, 1.0), seed=13)
+               for x0 in ((-0.0, 1.0), (0.0, 1.0))}
+    assert len(digests) == 1
+
+
 # -- mark scatter ---------------------------------------------------------------
 
 
@@ -192,8 +234,8 @@ def test_add_marks_many_repeats_equal_bincount_bitwise(coupled):
 
 def test_add_marks_negative_zero_away_from_events_is_cleared_by_the_clamp():
     # bincount adds +0.0 to every entry, turning -0.0 into +0.0; the sparse
-    # add leaves entries without events alone.  The step's clamp at zero maps
-    # both to +0.0, so the state bytes agree.
+    # add leaves entries without events alone.  A clamped column maps both to
+    # +0.0, and an unclamped one never holds -0.0, so the state bytes agree.
     out = np.array([-0.0, 1.0, -0.0, 2.0])
     idx, Z = np.array([1, 2]), np.array([[0.5, 0.5], [0.25, 0.0]])
     ref0, _ = _scatter_matches_bincount(idx, Z, out, np.zeros(4))

@@ -180,3 +180,66 @@ def test_random_envs_validate_and_deltas_bounded(rng):
         for i in range(2):
             for t in set(env.b[i][i].atom_times) | set(env.m[i].atom_times):
                 assert 0.0 <= delta(env, i, t) <= 1.0
+
+
+def _reference_windows(env, lo, hi, zeta=None, extra=()):
+    """atom_times, density_breakpoints and hard_points, built from sets of every
+    coefficient on each call."""
+    times = set()
+    for i in range(2):
+        for j in range(2):
+            times.update(t for t, _ in env.b[i][j].atoms_in(lo, hi))
+        times.update(t for t in env.m[i].atom_times if lo < t <= hi)
+    atoms = sorted(times | {t for t in extra if lo < t <= hi})
+    pts = set()
+    for i in range(2):
+        for j in range(2):
+            pts.update(env.b[i][j].density.breakpoints(lo, hi))
+        pts.update(env.c[i].density.breakpoints(lo, hi))
+        for rate, _ in env.m[i].density_components:
+            pts.update(rate.breakpoints(lo, hi))
+    knots = sorted(pts)
+    hard_extra = (*extra, *zeta.atom_times) if zeta is not None else extra
+    hard = {lo, hi, *(t for t in times), *(t for t in hard_extra if lo < t <= hi), *knots}
+    for sm in zeta.per_type if zeta is not None else ():
+        hard.update(sm.density.breakpoints(lo, hi))
+    return atoms, knots, sorted(hard)
+
+
+def _window_envs():
+    from bibranch.simulate import truncate_large_jumps
+    from bibranch.verify import atom_rich_env, suite
+
+    ramp = Density.piecewise_linear([(0.1, 0.2), (0.4, 0.6), (0.5, 0.1), (0.9, 0.3)])
+    pulse = Density.piecewise_linear([(0.5, 1.0), (0.6, 0.0)])
+    knotted = make_env(b11=SignedMeasure1D(ramp, ((0.4, 0.2), (0.7, 0.1))),
+                       b12=SignedMeasure1D(Density.piecewise_linear([(0.25, 0.1), (0.7, 0.3)])),
+                       c2=SignedMeasure1D(ramp),
+                       m1=JumpKernel(((pulse, Dirac((0.1, 0.2), 0.5)),),
+                                     ((0.7, Dirac((0.2, 0.1), 0.3)),
+                                      (0.9, Dirac((0.1, 0.0), 1.0)))))
+    assert validate(knotted).passed
+    envs = [sc.env for sc in suite()] + [knotted]
+    envs.append(truncate_large_jumps(atom_rich_env(), 0.3))
+    assert envs[-1].b[1][1].atom_times == (0.45,)  # the cap puts a killing atom on b22
+    return envs
+
+
+def test_window_queries_equal_the_set_built_reference():
+    zeta = WeightMeasure((SignedMeasure1D(Density.piecewise_linear([(0.0, 1.0), (0.3, 0.0)]),
+                                          ((0.8, 0.4),)),
+                          SignedMeasure1D(Density.zero(), ((0.45, 0.1), (0.5, 0.3)))))
+    for env in _window_envs():
+        pts = sorted({0.0, 1.0, *env.atom_times(-1.0, 2.0), *env.density_breakpoints(-1.0, 2.0)})
+        # ends on every atom and knot, between them and outside [0, 1]
+        ends = sorted({*pts, *((a + b) / 2 for a, b in zip(pts, pts[1:])), -0.5, 1.5})
+        for lo in ends:
+            for hi in ends:
+                if hi < lo:
+                    continue
+                for extra in ((), (lo, hi, 0.45, 0.55, 0.7)):
+                    for z in (None, zeta):
+                        atoms, knots, hard = _reference_windows(env, lo, hi, z, extra)
+                        assert env.atom_times(lo, hi, extra) == atoms
+                        assert env.density_breakpoints(lo, hi) == knots
+                        assert env.hard_points(lo, hi, z, extra) == hard

@@ -23,6 +23,7 @@ from bibranch.measures import (
     ExpProduct,
     StableAxis,
     UncompensatedStableError,
+    _capped_stable_small,
 )
 
 LAM_GRID = [(0.0, 0.0), (0.3, 0.0), (1.0, 0.7), (2.5, 4.0), (10.0, 10.0), (0.0, 3.0)]
@@ -165,12 +166,73 @@ def test_capped_stable_vs_quadrature(lam1):
     mixed_close(got, want)
 
 
-def test_capped_stable_series_gamma_branch_agree():
-    # the series (x < 25) and incomplete-gamma (x >= 25) branches must join smoothly
+def test_capped_stable_series_and_closed_form_join():
+    # the series (x < 0.5) and the closed form (x >= 0.5) must join smoothly
     m = CappedStableAxis(0, 1.4, 1.0, 1.0)
-    lo = m.compensated_exponent(0, (24.999, 0.0))
-    hi = m.compensated_exponent(0, (25.001, 0.0))
+    lo = m.compensated_exponent(0, (0.4999, 0.0))
+    hi = m.compensated_exponent(0, (0.5001, 0.0))
     assert abs(hi - lo) < 1e-3 * abs(lo)
+
+
+# sum_{n>=2} (-x)^n / (n! (n - alpha)), the small-jump integral at cap = 1, to
+# 50 digits: summed offline at 1000 digits, and equal to the closed form of
+# _capped_stable_small evaluated at 80 digits to 55 digits
+CAPPED_STABLE_SMALL_REF = {
+    (1.2, 1e-8): "0.000000000000000062499999907407407556216930997632971606533695007394",
+    (1.2, 1e-4): "0.0000000062499074088954807159674325301164618143500114612365",
+    (1.2, 0.1): "0.0061588738587880072302033867430117273223231852454892",
+    (1.2, 0.499): "0.14497986675535680712822915501260604409512289624193",
+    (1.2, 0.5): "0.14554172219875926847978580803313222166082519756143",
+    (1.2, 1): "0.54535384303075952459415517918976051076147350227796",
+    (1.2, 10): "27.715819052047258775641659858959093582667170319039",
+    (1.2, 24): "100.66027993463145810751617551394587919648412091075",
+    (1.2, 30): "138.15802094794407279116706993877550078393149466101",
+    (1.2, 1e3): "14312.841550228692886741734638241480286407395842904",
+    (1.5, 1e-8): "0.000000000000000099999999888888889055555555317460317768959435265352",
+    (1.5, 1e-4): "0.000000009999888890555531746340384399589222138461491580546",
+    (1.5, 0.1): "0.0098905320511040098059820555248416186359420478089007",
+    (1.5, 0.499): "0.23615947353232450470259871592888980810244652030735",
+    (1.5, 0.5): "0.23708292792809920211553641352003004081760952339433",
+    (1.5, 1): "0.90345064828076694879559567645924859257587325218813",
+    (1.5, 10): "55.399879200881722310876956132451807079868380634437",
+    (1.5, 24): "230.52954841704001851265599766550248891631296173977",
+    (1.5, 30): "328.99184917780651458893274047955605663850347610751",
+    (1.5, 1e3): "72733.88288530571599081709911825067858472431700281",
+    (1.9, 1e-8): "0.00000000000000049999999984848484868326118299236605722093930158881",
+    (1.9, 1e-4): "0.000000049999848486832584951230152001435196486990774811866",
+    (1.9, 0.1): "0.049850442428651761411803912299005536164483197784642",
+    (1.9, 0.499): "1.2273309801067991081367388458720479360915007419637",
+    (1.9, 0.5): "1.232221684286024374157933458791713265961084404126",
+    (1.9, 1): "4.8659415043842280878204458125826733679071263740219",
+    (1.9, 10): "431.33612369500879559605906625823778504287110833843",
+    (1.9, 24): "2305.9529575984339321204239604550261601919492986322",
+    (1.9, 30): "3530.67808504677942944400921298409571199761683545",
+    (1.9, 1e3): "2787221.9330921281901603820309708557488528426243753",
+}
+
+
+@pytest.mark.parametrize("alpha, x", sorted(CAPPED_STABLE_SMALL_REF))
+def test_capped_stable_small_matches_50_digit_reference(alpha, x):
+    want = Fraction(CAPPED_STABLE_SMALL_REF[alpha, x])
+    got = Fraction(_capped_stable_small(alpha, x, 1.0))
+    assert abs(got - want) <= Fraction(1, 10 ** 13) * want, float(got / want - 1)
+
+
+EXPONENT_MEASURES = [Dirac((0.7, 1.3), 0.8), ExpProduct(2.0, 1.3, 0.9), StableAxis(0, 1.5, 0.4),
+                     CappedExpProduct(2.0, 1.3, 1.5, 0.8), CappedStableAxis(1, 1.4, 2.0, 0.7)]
+
+
+@pytest.mark.parametrize("meas", EXPONENT_MEASURES, ids=lambda m: type(m).__name__)
+def test_compensated_exponent_is_the_private_exponent_bit_for_bit(meas):
+    axes = (meas.axis,) if hasattr(meas, "axis") else (0, 1)
+    for lam in LAM_GRID + [(1e-9, 2e-9), (0.2, 0.24), (12.0, 15.0), (600.0, 800.0)]:
+        for i in axes:
+            want = meas._exponent(i, float(lam[0]), float(lam[1]))
+            assert meas.compensated_exponent(i, lam).hex() == want.hex()
+            assert meas.compensated_exponent(i, np.array(lam)).hex() == want.hex()
+    for lam in ((-0.5, 1.0), (1.0, -1e-300)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            meas.compensated_exponent(axes[0], lam)
 
 
 def test_tail_split_moments():

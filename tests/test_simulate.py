@@ -124,6 +124,22 @@ def test_atom_cross_mass_reaches_other_coordinate():
     assert out[:, 1].mean() == pytest.approx(1.0, abs=4 * 0.2 / math.sqrt(n))
 
 
+def test_atom_in_b21_feeds_type_one_from_type_two():
+    env = make_env(b21=atoms_only((0.5, 0.3)))
+    out = simulate_atom(env, 0.5, (0.0, 2.0), NoiseStream(9).substream("atom"))
+    assert out[0] == 0.6 and out[1] == 2.0
+    # with noise on type 2, the ensemble mean just after the atom is the exact mean
+    env = make_env(b21=atoms_only((0.5, 0.3)), c2=const(0.3))
+    n = 4000
+    stats = simulate_ensemble(env, (0.0, 2.0), 1.0, (0.5, 1.0), (), n, SimOptions(step=1e-2),
+                              NoiseStream(10))
+    mean = first_moment(env, (0.0, 2.0), 1.0)
+    for a, t in enumerate((0.5, 1.0)):
+        assert mean.at(t) == pytest.approx([0.6, 2.0], rel=1e-12)
+        assert np.all(np.abs(stats.mean[a] - mean.at(t)) < 4 * stats.se_mean[a])
+    assert stats.mean[0][0] > 0.5
+
+
 def test_truncate_identity_below_cap():
     env = make_env(m1=JumpKernel(((Density.constant(1.0), Dirac((3.0, 0.0), 1.0)),)))
     out = truncate_large_jumps(env, 5.0)
