@@ -27,6 +27,16 @@ entry points take no solver options).  Its dense output evaluates the
 quartic interpolant of the one step a query falls in; a piece end returns
 the stored endpoint.
 
+The right-hand side (``_make_rhs``) reads every constant density once per
+solve.  When all are constant, as in every suite environment, it binds the drift,
+diffusion and jump-rate values as floats and returns two floats; without
+jump terms or weight it is two expressions.  Time-varying densities are
+read at each r, and both forms evaluate the same expressions in the same
+order, so they agree bit for bit.  Piece ends are tested and clipped as two
+floats, without NumPy reductions.  Nothing here imports scipy:
+:mod:`bibranch.measures` imports ``scipy.special`` on the first Gamma or
+incomplete-Gamma evaluation, so ``import bibranch`` leaves scipy out.
+
 The same machinery solves the weight-shifted system for integral functionals
 (see :mod:`bibranch.functionals`), which adds an accumulation density and
 shifts the atom-map argument.
@@ -159,16 +169,25 @@ class PiecewiseSolution:
 
 
 def _clip_negative(v, tol: float, where: str) -> np.ndarray:
-    """The one negativity rule: zero round-off below 0, reject a deficit beyond tol."""
-    if np.any(v < -tol):
-        raise SolverError(f"negative-value at {where}: {v} (delta constraint violated "
-                          "or tolerances too loose)")
-    return np.maximum(v, 0.0)
+    """The one negativity rule: zero round-off below 0, reject a deficit beyond tol.
+
+    Tested on the two components as floats; the clip keeps a NaN, as
+    ``np.maximum(v, 0.0)`` does.
+    """
+    v1, v2 = v
+    if v1 < -tol or v2 < -tol:
+        raise SolverError(f"negative-value at {where}: {np.asarray(v, dtype=float)} "
+                          "(delta constraint violated or tolerances too loose)")
+    return np.array([0.0 if v1 <= 0.0 else v1, 0.0 if v2 <= 0.0 else v2])
 
 
 def _neg_tol(v) -> float:
     """Round-off allowance below zero, scaled by the largest finite entry of v."""
-    return 1e-10 * (1.0 + float(np.max(v, where=np.isfinite(v), initial=0.0)))
+    top = 0.0
+    for x in v:
+        if top < x < math.inf:  # NaN fails both tests, inf the second
+            top = float(x)
+    return 1e-10 * (1.0 + top)
 
 
 def atom_step(env: EnvSpec, s: float, v_right) -> np.ndarray:
@@ -180,12 +199,17 @@ def atom_step(env: EnvSpec, s: float, v_right) -> np.ndarray:
     return _clip_negative(info.cumulant_map(v), _neg_tol(v), f"t={s:g}")
 
 
+def _constant_values(densities):
+    """The values of the densities as floats when every one is constant, else None."""
+    if any(d.knots.size > 1 for d in densities):
+        return None
+    return [float(d.values[0]) for d in densities]
+
+
 def _coefficients(densities):
     """Map r to the list of density values; constant densities are read once."""
     base = [float(d.values[0]) if d.knots.size == 1 else 0.0 for d in densities]
     varying = [(k, d) for k, d in enumerate(densities) if d.knots.size > 1]
-    if not varying:
-        return lambda r: base
 
     def at(r):
         vals = base.copy()
@@ -197,6 +221,15 @@ def _coefficients(densities):
 
 
 def _make_rhs(env: EnvSpec, zeta=None):
+    """The right-hand side ``rhs(r, v)`` of the backward system, as two floats.
+
+    Every constant density is read once here.  When all are constant the
+    closure binds them as floats, and without jump terms and weight it is two
+    expressions.  Otherwise it reads them through ``_coefficients`` at each
+    r.  Both forms evaluate the same expressions in the same order: the
+    drift and diffusion terms, each jump term of type i added to d_i in
+    component order, then the weight density subtracted.
+    """
     jumps = []
     for i in range(2):
         for _, meas in env.m[i].density_components:
@@ -207,19 +240,49 @@ def _make_rhs(env: EnvSpec, zeta=None):
     densities += [rate for i in range(2) for rate, _ in env.m[i].density_components]
     if zeta is not None:
         densities += [zeta.per_type[0].density, zeta.per_type[1].density]
-    coef = _coefficients(densities)
+    values = _constant_values(densities)
+
+    if values is None:
+        coef = _coefficients(densities)
+
+        def rhs(r, v):
+            b11, b22, b12, b21, c1, c2, *rest = coef(r)
+            v1 = v[0] if v[0] > 0.0 else 0.0
+            v2 = v[1] if v[1] > 0.0 else 0.0
+            d = [v1 * b11 - v2 * b12 + v1 * v1 * c1, v2 * b22 - v1 * b21 + v2 * v2 * c2]
+            for (i, exponent), rate in zip(jumps, rest):
+                d[i] += rate * exponent(i, v1, v2)
+            if zeta is not None:
+                d[0] -= rest[-2]
+                d[1] -= rest[-1]
+            return d
+
+        return rhs
+
+    b11, b22, b12, b21, c1, c2, *rest = values
+    if not jumps and zeta is None:
+        def rhs(r, v):
+            v1 = v[0] if v[0] > 0.0 else 0.0
+            v2 = v[1] if v[1] > 0.0 else 0.0
+            return v1 * b11 - v2 * b12 + v1 * v1 * c1, v2 * b22 - v1 * b21 + v2 * v2 * c2
+
+        return rhs
+
+    # subtracting 0.0 leaves every float as it is, -0.0 included
+    z1, z2 = rest[-2:] if zeta is not None else (0.0, 0.0)
+    jumps1 = tuple((rate, exponent) for (i, exponent), rate in zip(jumps, rest) if i == 0)
+    jumps2 = tuple((rate, exponent) for (i, exponent), rate in zip(jumps, rest) if i == 1)
 
     def rhs(r, v):
-        b11, b22, b12, b21, c1, c2, *rest = coef(r)
         v1 = v[0] if v[0] > 0.0 else 0.0
         v2 = v[1] if v[1] > 0.0 else 0.0
-        d = [v1 * b11 - v2 * b12 + v1 * v1 * c1, v2 * b22 - v1 * b21 + v2 * v2 * c2]
-        for (i, exponent), rate in zip(jumps, rest):
-            d[i] += rate * exponent(i, v1, v2)
-        if zeta is not None:
-            d[0] -= rest[-2]
-            d[1] -= rest[-1]
-        return d
+        d1 = v1 * b11 - v2 * b12 + v1 * v1 * c1
+        d2 = v2 * b22 - v1 * b21 + v2 * v2 * c2
+        for rate, exponent in jumps1:
+            d1 += rate * exponent(0, v1, v2)
+        for rate, exponent in jumps2:
+            d2 += rate * exponent(1, v1, v2)
+        return d1 - z1, d2 - z2
 
     return rhs
 
@@ -398,8 +461,9 @@ def _solve_piece(fun, start, end, y0) -> _Dense:
             h = t_new - t
             h_abs = abs(h)
             y_new, ks, e0, e1 = _dp_step(fun, t, y, f, h)
-            err = _rms(e0 * h / (_ABS_TOL + max(abs(y[0]), abs(y_new[0])) * _REL_TOL),
-                       e1 * h / (_ABS_TOL + max(abs(y[1]), abs(y_new[1])) * _REL_TOL))
+            a = e0 * h / (_ABS_TOL + max(abs(y[0]), abs(y_new[0])) * _REL_TOL)
+            b = e1 * h / (_ABS_TOL + max(abs(y[1]), abs(y_new[1])) * _REL_TOL)
+            err = math.sqrt(a * a + b * b) / _SQRT2  # the RMS norm, _rms inlined
             if err < 1:
                 factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXP)
                 h_abs *= min(1, factor) if rejected else factor
@@ -510,7 +574,7 @@ def _piece_from_infinity(env, rhs, lo, hi, v, neg_tol):
 def _integrate_backward(env, t, lam, zeta=None, r_end=0.0):
     """Shared core for the cumulant and weighted-functional systems."""
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != (2,) or np.any(lam < 0):
+    if lam.shape != (2,) or lam[0] < 0.0 or lam[1] < 0.0:
         raise ValueError("lambda must be a nonnegative 2-vector")
     if not (0.0 <= r_end <= t <= env.horizon + 1e-12):
         raise ValueError("need 0 <= r_end <= t <= horizon")
@@ -539,16 +603,17 @@ def _integrate_backward(env, t, lam, zeta=None, r_end=0.0):
     for hi, lo in zip(reversed(hard[1:]), reversed(hard[:-1])):
         if hi == lo:
             continue
-        if np.all(v == 0.0) and zeta is None:
+        v1, v2 = v
+        if v1 == 0.0 and v2 == 0.0 and zeta is None:
             # absorbing terminal state of the backward flow
             segments.append((lo, hi, None, np.zeros(2), np.zeros(2)))
             v = np.zeros(2)
-        elif not np.all(np.isfinite(v)):
+        elif not (math.isfinite(v1) and math.isfinite(v2)):
             segment, v = _piece_from_infinity(env, rhs, lo, hi, v, neg_tol)
             segments.append(segment)
         else:
             dense = _solve_piece(rhs, hi, lo, v)
-            v_new = _clip_negative(np.array(dense.ys[-1]), neg_tol, f"r={lo:g}")
+            v_new = _clip_negative(dense.ys[-1], neg_tol, f"r={lo:g}")
             segments.append((lo, hi, dense, v_new, v.copy()))
             v = v_new
         if lo in atom_set:

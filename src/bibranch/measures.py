@@ -16,11 +16,11 @@ by the simulator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sc
 
 __all__ = [
     "Dirac",
@@ -166,9 +166,23 @@ class ExpProduct:
         }
 
 
+@functools.cache
+def _special():
+    """scipy.special, imported on first use so that ``import bibranch`` leaves scipy out."""
+    import scipy.special
+
+    return scipy.special
+
+
+@functools.lru_cache(maxsize=16)
+def _gamma(x: float) -> float:
+    """Gamma(x), evaluated once per argument."""
+    return float(_special().gamma(x))
+
+
 def _stable_const(alpha: float) -> float:
     # integral over (0, inf) of (exp(-z) - 1 + z) z^(-1-alpha) dz
-    return sc.gamma(2.0 - alpha) / (alpha * (alpha - 1.0))
+    return _gamma(2.0 - alpha) / (alpha * (alpha - 1.0))
 
 
 def _capped_stable_small(alpha: float, x: float, cap: float) -> float:
@@ -202,7 +216,7 @@ def _capped_stable_small(alpha: float, x: float, cap: float) -> float:
         return cap ** (-alpha) * acc
     a = alpha
     em1 = math.expm1(-x)
-    lower = sc.gamma(2.0 - a) * sc.gammainc(2.0 - a, x)
+    lower = _gamma(2.0 - a) * float(_special().gammainc(2.0 - a, x))
     return (x / cap) ** a * (-(em1 + x) * x ** (-a) / a
                              + (em1 * x ** (1.0 - a) + lower) / (a * (a - 1.0)))
 

@@ -27,7 +27,8 @@ import math
 
 import numpy as np
 
-from .cumulant import PiecewiseSolution, _clip_negative, _coefficients, _neg_tol, _solve_piece
+from .cumulant import (PiecewiseSolution, _clip_negative, _coefficients, _constant_values,
+                       _neg_tol, _solve_piece)
 from .environment import EnvSpec, atom_info, bar_b
 
 __all__ = ["first_moment", "moment_bound"]
@@ -42,15 +43,20 @@ def first_moment(env: EnvSpec, x0, t: float) -> PiecewiseSolution:
         raise ValueError("need 0 < t <= horizon")
 
     # bar21 feeds type 1 from type 2, bar12 type 2 from type 1
-    coef = _coefficients([env.b[0][0].density, env.b[1][1].density,
-                          bar_b(env, 1, 0).density, bar_b(env, 0, 1).density])
+    densities = [env.b[0][0].density, env.b[1][1].density,
+                 bar_b(env, 1, 0).density, bar_b(env, 0, 1).density]
+    values = _constant_values(densities)
+    if values is None:
+        coef = _coefficients(densities)
 
-    def rhs(s, m):
-        b11, b22, bar21, bar12 = coef(s)
-        return (
-            -m[0] * b11 + m[1] * bar21,
-            -m[1] * b22 + m[0] * bar12,
-        )
+        def rhs(s, m):
+            b11, b22, bar21, bar12 = coef(s)
+            return -m[0] * b11 + m[1] * bar21, -m[1] * b22 + m[0] * bar12
+    else:
+        b11, b22, bar21, bar12 = values
+
+        def rhs(s, m):
+            return -m[0] * b11 + m[1] * bar21, -m[1] * b22 + m[0] * bar12
 
     hard = env.hard_points(0.0, t)
     atom_set = set(env.atom_times(0.0, t))

@@ -516,3 +516,21 @@ def test_dense_output_takes_scalars_and_arrays():
         assert np.array_equal(dense(r), many[:, k])
         assert dense(r) == pytest.approx([math.exp(1.0 - r), math.exp(2.0 * (1.0 - r))],
                                          rel=1e-9)
+
+
+@pytest.mark.parametrize("v", [(-0.0, 1.0), (math.nan, 0.5), (-1e-12, 3.0), (0.0, math.inf),
+                               (math.inf, -math.inf), (2.5, math.nan)])
+def test_float_negativity_rule_matches_its_numpy_form(v):
+    # the NumPy form the two-float tests replaced, kept as the reference
+    arr = np.array(v)
+    tol = 1e-10 * (1.0 + float(np.max(arr, where=np.isfinite(arr), initial=0.0)))
+    assert bibranch.cumulant._neg_tol(arr) == tol
+    assert bibranch.cumulant._neg_tol(v) == tol
+    if np.any(arr < -tol):
+        with pytest.raises(SolverError, match=r"negative-value at r=0\.5: \[ inf -inf\] "
+                                              r"\(delta constraint violated"):
+            bibranch.cumulant._clip_negative(v, tol, "r=0.5")
+    else:
+        clipped = bibranch.cumulant._clip_negative(v, tol, "r=0.5")
+        assert clipped.dtype == np.float64
+        assert clipped.tobytes() == np.maximum(arr, 0.0).tobytes()

@@ -19,7 +19,9 @@ import numpy as np
 import pytest
 
 from bibranch.cumulant import solve_backward, v_infinity
-from bibranch.functionals import solve_functional, solve_w
+from bibranch.densities import Density, SignedMeasure1D
+from bibranch.environment import EnvSpec, JumpKernel
+from bibranch.functionals import WeightMeasure, solve_functional, solve_w
 from bibranch.moments import first_moment
 from bibranch.verify import suite
 
@@ -102,3 +104,40 @@ def test_analytic_output_bytes_are_pinned(name):
 @pytest.mark.parametrize("name", sorted(ZETAS))
 def test_functional_output_bytes_are_pinned(name):
     assert _zeta_digest(*ZETAS[name]) == ZETA_DIGESTS[name]
+
+
+def _flat(d: Density) -> Density:
+    """The constant density d as a piecewise-linear one, equal at its knots 0 and 1."""
+    v = float(d.values[0])
+    return Density.piecewise_linear([(0.0, v), (1.0, v)])
+
+
+def _flat_sm(sm: SignedMeasure1D) -> SignedMeasure1D:
+    return SignedMeasure1D(_flat(sm.density), sm.atoms)
+
+
+def _twin(env: EnvSpec) -> EnvSpec:
+    """env with every density read through the time-varying path."""
+    twin = EnvSpec(
+        b=tuple(tuple(_flat_sm(sm) for sm in row) for row in env.b),
+        c=tuple(_flat_sm(sm) for sm in env.c),
+        m=tuple(JumpKernel(tuple((_flat(rate), meas) for rate, meas in k.density_components),
+                           k.atoms) for k in env.m),
+        horizon=env.horizon)
+    assert twin._knots == [0.0, 1.0]  # no knot inside a solve window, so no extra piece
+    return twin
+
+
+@pytest.mark.parametrize("name", ["feller-embed", "decoupled-two-type", "stable-jump-capped"])
+def test_time_varying_path_matches_its_constant_twin(name):
+    # the constant-coefficient right-hand sides bind the values the
+    # time-varying ones read at each r, with the same arithmetic
+    env, x0 = ENVS[name]
+    assert _env_digest(_twin(env), x0) == _env_digest(env, x0)
+
+
+def test_time_varying_weight_density_matches_its_constant_twin():
+    env, zeta = ZETAS["functional-density"]
+    assert not zeta.per_type[0].density.is_zero
+    twin_zeta = WeightMeasure(tuple(_flat_sm(sm) for sm in zeta.per_type))
+    assert _zeta_digest(_twin(env), twin_zeta) == _zeta_digest(env, zeta)
