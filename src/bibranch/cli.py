@@ -35,6 +35,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+class _InvalidEnvironment(Exception):
+    """The config's environment fails validation; carries the report."""
+
+
 def _parse_pair(text):
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 2:
@@ -42,28 +46,44 @@ def _parse_pair(text):
     return tuple(parts)
 
 
-def _load_env(args, need_zeta=False):
-    """Parse the config once and write ``--dump-config`` from what was parsed."""
+# flags shared by several subcommands; each overrides the run key of its name
+_SHARED_FLAGS = {
+    "t": {"type": float},
+    "x0": {"type": _parse_pair, "metavar": "A,B"},
+    "lambda": {"type": _parse_pair, "metavar": "A,B"},
+    "step": {"type": float},
+    "seed": {"type": int},
+}
+
+
+def _setup(args, need_zeta=False):
+    """Parse the config once, write ``--dump-config`` from what was parsed and
+    validate the environment; returns ``(env, run, zeta)``."""
     cfg = cfgmod.load_config(args.env)
     env = cfgmod.env_from_config(cfg)
     zeta = cfgmod.zeta_from_config(cfg) if need_zeta or args.dump_config else None
     if args.dump_config:
         cfgmod.dump_config(cfgmod.env_to_config(env, zeta, cfg.get("run")), args.dump_config)
+    report = validate(env)
+    if not report.passed:
+        raise _InvalidEnvironment(report)
     return env, cfg.get("run", {}), zeta
 
 
-def _run_value(args, run, key, default):
+def _opt(args, run, key, default, cast):
+    """The flag ``--key``, else ``run[key]``, else the default, through cast."""
     val = getattr(args, key, None)
-    if val is not None:
-        return val
-    return run.get(key, default)
+    if val is None:
+        val = run.get(key, default)
+    return cast(val)
 
 
-def _check_env(env):
-    report = validate(env)
-    if not report.passed:
-        print(report, file=sys.stderr)
-    return report.passed
+def _write_text(path, text):
+    if path in (None, "-"):
+        print(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
 
 
 def _write_csv(path, header, rows):
@@ -78,10 +98,9 @@ def _write_csv(path, header, rows):
 
 
 def cmd_validate(args):
-    env, _, _ = _load_env(args)
-    report = validate(env)
-    print(report, file=sys.stderr)
-    return 0 if report.passed else VALIDATION_ERROR
+    _setup(args)
+    print("PASS", file=sys.stderr)
+    return 0
 
 
 def _write_backward_grid(path, sol, name):
@@ -96,23 +115,18 @@ def _write_backward_grid(path, sol, name):
 
 
 def cmd_cumulant(args):
-    env, run, _ = _load_env(args)
-    if not _check_env(env):
-        return VALIDATION_ERROR
-    t = float(_run_value(args, run, "t", env.horizon))
-    lam = args.lam if args.lam is not None else tuple(run.get("lambda", (1.0, 1.0)))
+    env, run, _ = _setup(args)
+    t = _opt(args, run, "t", env.horizon, float)
+    lam = _opt(args, run, "lambda", (1.0, 1.0), tuple)
     _write_backward_grid(args.out, solve_backward(env, t, lam), "v")
     return 0
 
 
 def cmd_moments(args):
-    env, run, _ = _load_env(args)
-    if not _check_env(env):
-        return VALIDATION_ERROR
-    t = float(_run_value(args, run, "t", env.horizon))
-    x0 = args.x0 if args.x0 is not None else tuple(run.get("x0", (1.0, 1.0)))
-    curve = first_moment(env, x0, t)
-    ts, ms, _, _ = curve.grid()
+    env, run, _ = _setup(args)
+    t = _opt(args, run, "t", env.horizon, float)
+    x0 = _opt(args, run, "x0", (1.0, 1.0), tuple)
+    ts, ms, _, _ = first_moment(env, x0, t).grid()
     rows = []
     for tk, mk in zip(ts, ms):
         bound = moment_bound(env, x0, float(tk))
@@ -124,9 +138,9 @@ def cmd_moments(args):
 
 def _sim_options(args, run):
     return SimOptions(
-        step=float(_run_value(args, run, "step", 1e-3)),
-        small_jump_eps=float(_run_value(args, run, "small_jump_eps", 1e-2)),
-        small_jump_mode=str(_run_value(args, run, "small_jump_mode", "drop")),
+        step=_opt(args, run, "step", 1e-3, float),
+        small_jump_eps=_opt(args, run, "small_jump_eps", 1e-2, float),
+        small_jump_mode=_opt(args, run, "small_jump_mode", "drop", str),
     )
 
 
@@ -147,12 +161,10 @@ def _lambda_grid(args, run):
 
 
 def cmd_simulate(args):
-    env, run, _ = _load_env(args)
-    if not _check_env(env):
-        return VALIDATION_ERROR
-    t = float(_run_value(args, run, "t", env.horizon))
-    x0 = args.x0 if args.x0 is not None else tuple(run.get("x0", (1.0, 1.0)))
-    seed = int(_run_value(args, run, "seed", 0))
+    env, run, _ = _setup(args)
+    t = _opt(args, run, "t", env.horizon, float)
+    x0 = _opt(args, run, "x0", (1.0, 1.0), tuple)
+    seed = _opt(args, run, "seed", 0, int)
     opts = _sim_options(args, run)
     noise = NoiseStream(seed)
     if args.dump_path is not None:
@@ -163,29 +175,13 @@ def cmd_simulate(args):
             for tk, x, a in zip(traj.times, traj.states, traj.is_atom)
         ]
         _write_csv(args.dump_path, ["t", "x1", "x2", "is_atom", "absorbed"], rows)
-    n_paths = int(_run_value(args, run, "paths", 1000))
-    checkpoints = args.checkpoints if args.checkpoints is not None \
-        else tuple(run.get("checkpoints", (t,)))
-    lams = _lambda_grid(args, run)
-    stats = simulate_ensemble(env, x0, t, checkpoints, lams, n_paths, opts, noise)
+    n_paths = _opt(args, run, "paths", 1000, int)
+    checkpoints = _opt(args, run, "checkpoints", (t,), tuple)
+    stats = simulate_ensemble(env, x0, t, checkpoints, _lambda_grid(args, run), n_paths, opts,
+                              noise)
     if args.format == "json":
-        payload = {
-            "n_paths": stats.n_paths,
-            "checkpoints": stats.checkpoints.tolist(),
-            "mean": stats.mean.tolist(),
-            "var": stats.var.tolist(),
-            "se_mean": stats.se_mean.tolist(),
-            "lambdas": stats.lambdas.tolist(),
-            "laplace": stats.laplace.tolist(),
-            "laplace_se": stats.laplace_se.tolist(),
-            "extinction": stats.extinction.tolist(),
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if args.out in (None, "-"):
-            print(text)
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+        _write_text(args.out, json.dumps(vars(stats), indent=2, sort_keys=True,
+                                         default=np.ndarray.tolist))
         return 0
     rows = []
     for a, cp in enumerate(stats.checkpoints):
@@ -202,39 +198,33 @@ def cmd_simulate(args):
 
 
 def cmd_functional(args):
-    env, run, zeta = _load_env(args, need_zeta=True)
-    if not _check_env(env):
-        return VALIDATION_ERROR
+    env, run, zeta = _setup(args, need_zeta=True)
     if zeta is None:
         print("config has no zeta block", file=sys.stderr)
         return USAGE_ERROR
-    t = float(_run_value(args, run, "t", env.horizon))
+    t = _opt(args, run, "t", env.horizon, float)
     r = float(args.r)
-    lam = args.lam if args.lam is not None else (0.0, 0.0)
+    lam = _opt(args, run, "lambda", (0.0, 0.0), tuple)
     _write_backward_grid(args.out, solve_functional(env, zeta, t, lam), "u")
     w = solve_w(env, zeta, r, t)
     print(f"w({r:g},{t:g}) = {w[0]:.12g},{w[1]:.12g}", file=sys.stderr)
     if args.mc:
-        x0 = args.x0 if args.x0 is not None else tuple(run.get("x0", (1.0, 1.0)))
-        seed = int(_run_value(args, run, "seed", 0))
-        est, se = mc_functional(env, x0, zeta, r, t, int(args.mc),
-                                _sim_options(args, run), NoiseStream(seed))
+        x0 = _opt(args, run, "x0", (1.0, 1.0), tuple)
+        est, se = mc_functional(env, x0, zeta, r, t, args.mc, _sim_options(args, run),
+                                NoiseStream(_opt(args, run, "seed", 0, int)))
         pred = float(np.exp(-np.asarray(x0) @ w))
         print(f"mc = {est:.6g} +- {se:.2g} (analytic {pred:.6g})", file=sys.stderr)
     return 0
 
 
 def cmd_extinction(args):
-    env, run, _ = _load_env(args)
-    if not _check_env(env):
-        return VALIDATION_ERROR
-    t = float(_run_value(args, run, "t", env.horizon))
-    x0 = args.x0 if args.x0 is not None else tuple(run.get("x0", (1.0, 1.0)))
+    env, run, _ = _setup(args)
+    t = _opt(args, run, "t", env.horizon, float)
+    x0 = _opt(args, run, "x0", (1.0, 1.0), tuple)
     print(f"{extinction_prob(env, x0, t):.12g}")
     if args.paths:
-        seed = int(_run_value(args, run, "seed", 0))
-        freq, se = extinction_frequency(env, x0, t, int(args.paths),
-                                        _sim_options(args, run), NoiseStream(seed))
+        freq, se = extinction_frequency(env, x0, t, args.paths, _sim_options(args, run),
+                                        NoiseStream(_opt(args, run, "seed", 0, int)))
         print(f"simulated {freq:.6g} +- {se:.2g}", file=sys.stderr)
     return 0
 
@@ -245,16 +235,16 @@ def _scenario_from_config(cfg) -> Scenario:
     run = cfg.get("run", {})
     opts = _sim_options(None, run)  # verify has no per-option flags
     x0_high = run.get("x0_high")
-    t = float(run.get("t", env.horizon))
+    t = _opt(None, run, "t", env.horizon, float)
     return Scenario(
         name=cfg.get("name", "scenario"),
         env=env,
-        x0=tuple(run.get("x0", (1.0, 1.0))),
+        x0=_opt(None, run, "x0", (1.0, 1.0), tuple),
         t=t,
-        checkpoints=tuple(run.get("checkpoints", (t,))),
+        checkpoints=_opt(None, run, "checkpoints", (t,), tuple),
         lam_grid=tuple(tuple(l) for l in run.get("lambda_grid", [(1.0, 1.0)])),
-        n_paths=int(run.get("paths", 10000)),
-        seed=int(run.get("seed", 0)),
+        n_paths=_opt(None, run, "paths", 10000, int),
+        seed=_opt(None, run, "seed", 0, int),
         step=opts.step,
         small_jump_mode=opts.small_jump_mode,
         small_jump_eps=opts.small_jump_eps,
@@ -283,12 +273,7 @@ def cmd_verify(args):
     else:
         scenarios = suite()
     reports = run_suite(scenarios, threads=threads)
-    text = reports_to_json(reports)
-    if args.out in (None, "-"):
-        print(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    _write_text(args.out, reports_to_json(reports))
     for r in reports:
         status = "pass" if r.passed else "FAIL"
         skips = "".join(f"; skipped {s.check}: {s.reason}" for s in r.skipped)
@@ -301,72 +286,44 @@ def build_parser() -> _Parser:
                 description="two-type branching in varying environments: "
                             "solve, simulate, cross-validate")
     sub = p.add_subparsers(dest="command", required=True)
+    q = {}
+    for name, func, text, shared in (
+        ("validate", cmd_validate, "check environment constraints", ()),
+        ("cumulant", cmd_cumulant, "solve the backward system", ("t", "lambda")),
+        ("moments", cmd_moments, "exact means and the a-priori bound", ("t", "x0")),
+        ("simulate", cmd_simulate, "Monte Carlo ensemble", ("t", "x0", "step", "seed")),
+        ("functional", cmd_functional, "weighted integral functionals",
+         ("t", "lambda", "x0", "step", "seed")),
+        ("extinction", cmd_extinction, "extinction-time law", ("t", "x0", "step", "seed")),
+    ):
+        q[name] = sub.add_parser(name, help=text)
+        q[name].add_argument("env", help="environment config (JSON)")
+        q[name].add_argument("--dump-config", help="write the normalized config here")
+        q[name].add_argument("--out", help="output path (default stdout)")
+        for flag in shared:
+            q[name].add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
+        q[name].set_defaults(func=func)
 
-    def common(q, env=True):
-        if env:
-            q.add_argument("env", help="environment config (JSON)")
-        q.add_argument("--dump-config", help="write the normalized config here")
-        q.add_argument("--out", help="output path (default stdout)")
+    q["simulate"].add_argument("--paths", type=int)
+    q["simulate"].add_argument("--checkpoints",
+                               type=lambda s: tuple(float(x) for x in s.split(",")))
+    q["simulate"].add_argument("--lambda-grid", help="file with one 'a,b' pair per line")
+    q["simulate"].add_argument("--dump-path", help="write the path-0 trajectory CSV here")
+    q["simulate"].add_argument("--format", choices=("csv", "json"), default="csv",
+                               help="ensemble output format (--out csv|json)")
+    q["functional"].add_argument("--r", type=float, default=0.0)
+    q["functional"].add_argument("--mc", type=int, help="cross-check with this many paths")
+    q["extinction"].add_argument("--paths", type=int, help="also estimate by simulation")
 
-    q = sub.add_parser("validate", help="check environment constraints")
-    common(q)
-    q.set_defaults(func=cmd_validate)
-
-    q = sub.add_parser("cumulant", help="solve the backward system")
-    common(q)
-    q.add_argument("--t", type=float)
-    q.add_argument("--lambda", dest="lam", type=_parse_pair, metavar="A,B")
-    q.set_defaults(func=cmd_cumulant)
-
-    q = sub.add_parser("moments", help="exact means and the a-priori bound")
-    common(q)
-    q.add_argument("--t", type=float)
-    q.add_argument("--x0", type=_parse_pair, metavar="A,B")
-    q.set_defaults(func=cmd_moments)
-
-    q = sub.add_parser("simulate", help="Monte Carlo ensemble")
-    common(q)
-    q.add_argument("--t", type=float)
-    q.add_argument("--x0", type=_parse_pair, metavar="A,B")
-    q.add_argument("--paths", type=int)
-    q.add_argument("--step", type=float)
-    q.add_argument("--seed", type=int)
-    q.add_argument("--checkpoints", type=lambda s: tuple(float(x) for x in s.split(",")))
-    q.add_argument("--lambda-grid", help="file with one 'a,b' pair per line")
-    q.add_argument("--dump-path", help="write the path-0 trajectory CSV here")
-    q.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="ensemble output format (--out csv|json)")
-    q.set_defaults(func=cmd_simulate)
-
-    q = sub.add_parser("functional", help="weighted integral functionals")
-    common(q)
-    q.add_argument("--t", type=float)
-    q.add_argument("--r", type=float, default=0.0)
-    q.add_argument("--lambda", dest="lam", type=_parse_pair, metavar="A,B")
-    q.add_argument("--x0", type=_parse_pair, metavar="A,B")
-    q.add_argument("--mc", type=int, help="cross-check with this many paths")
-    q.add_argument("--step", type=float)
-    q.add_argument("--seed", type=int)
-    q.set_defaults(func=cmd_functional)
-
-    q = sub.add_parser("extinction", help="extinction-time law")
-    common(q)
-    q.add_argument("--t", type=float)
-    q.add_argument("--x0", type=_parse_pair, metavar="A,B")
-    q.add_argument("--paths", type=int, help="also estimate by simulation")
-    q.add_argument("--step", type=float)
-    q.add_argument("--seed", type=int)
-    q.set_defaults(func=cmd_extinction)
-
-    q = sub.add_parser("verify", help="run cross-check scenarios")
-    which = q.add_mutually_exclusive_group(required=True)
+    v = sub.add_parser("verify", help="run cross-check scenarios")
+    which = v.add_mutually_exclusive_group(required=True)
     which.add_argument("--suite", action="store_true", help="run the built-in suite")
     which.add_argument("--scenario", help="run one scenario config (JSON)")
-    q.add_argument("--out", help="JSON report path (default stdout)")
-    q.add_argument("--threads", type=int,
+    v.add_argument("--out", help="JSON report path (default stdout)")
+    v.add_argument("--threads", type=int,
                    help="scenario worker threads (overrides env BIBRANCH_THREADS, "
                         "which sets the default; otherwise the CPU count)")
-    q.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_verify)
 
     return p
 
@@ -375,8 +332,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError,
-            SolverError, SimulationError) as exc:
+    except _InvalidEnvironment as exc:
+        print(exc, file=sys.stderr)
+        return VALIDATION_ERROR
+    except (OSError, ValueError, KeyError, MemoryError, SolverError, SimulationError) as exc:
+        # MemoryError: NumPy cannot allocate the ensemble for --paths or run.paths
         print(f"bibranch: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -18,12 +18,22 @@ Layout::
       ],
       "zeta": [{"density": {...}, "atoms": [...]}, {...}],     # optional weights
       "run": {"seed": 1, "paths": 10000, "step": 1e-3, "t": 1.0,
-              "x0": [1.0, 0.0], "checkpoints": [0.5, 1.0],
+              "x0": [1.0, 0.0], "lambda": [1.0, 0.0], "checkpoints": [0.5, 1.0],
               "lambda_grid": [[1.0, 0.0], [2.0, 0.0]],
               "small_jump_mode": "drop", "small_jump_eps": 1e-2,
               "x0_high": [2.0, 0.0], "coupled_pairs": 0,           # verify only
               "truncation": false}                                 # optional defaults
     }
+
+Every ``run`` key is optional, and a CLI flag of the same name overrides it
+(``--t``, ``--x0``, ``--lambda``, ``--step``, ``--seed``, and ``simulate``'s
+``--paths`` and ``--checkpoints``).  Defaults: ``t`` the horizon, ``x0``
+(1, 1), ``seed`` 0, ``step`` 1e-3, ``checkpoints`` the one time ``t``.  Some
+differ by subcommand on purpose: ``lambda`` is (1, 1) for ``cumulant`` and
+(0, 0) for ``functional``; ``paths`` is 1000 for ``simulate`` and 10000 for
+``verify --scenario``; ``lambda_grid`` is empty for ``simulate`` and
+[[1, 1]] for ``verify --scenario``.  ``extinction --paths`` and
+``functional --mc`` are opt-in flags and do not read ``paths``.
 
 Density specs: ``{"kind": "constant", "v": 1.0}``,
 ``{"kind": "piecewise_linear", "points": [[t, v], ...]}`` or

@@ -114,7 +114,6 @@ class SimOptions:
     step: float = 1e-3
     small_jump_eps: float = 1e-2
     small_jump_mode: str = "drop"  # or "gaussian"
-    jump_count_guard: float = 1e6  # expected events per path per step
 
     def __post_init__(self):
         if self.step <= 0 or self.small_jump_eps <= 0:
@@ -162,6 +161,8 @@ class _Channel:
 # the largest mesh a plan builds: its per-interval arrays (about a dozen float
 # vectors) and its mesh-point index take about 250 MB at this size
 _MAX_MESH_STEPS = 10 ** 6
+# a step whose expected jump count on some path exceeds this is a step-overflow
+_JUMP_COUNT_GUARD = 1e6
 
 
 class _StepPlan:
@@ -448,7 +449,7 @@ def _euler_step(plan: _StepPlan, k: int, X: np.ndarray, rng, src, out, work) -> 
     for ch in plan.channels:
         r = ch.rates_dt[k]
         if r != 0.0:
-            src.jumps(rng, r, X[:, ch.p], ch.sample, plan.opts.jump_count_guard, new0, new1)
+            src.jumps(rng, r, X[:, ch.p], ch.sample, _JUMP_COUNT_GUARD, new0, new1)
     if plan.clamp[0]:
         np.maximum(new0, 0.0, out=new0)
     if plan.clamp[1]:

@@ -171,6 +171,8 @@ def test_cli_simulate_json(cfg_file, tmp_path):
     assert main(["simulate", str(cfg_file), "--paths", "16", "--step", "0.01",
                  "--format", "json", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
+    assert sorted(payload) == ["checkpoints", "extinction", "lambdas", "laplace", "laplace_se",
+                               "mean", "n_paths", "se_mean", "var"]
     assert payload["n_paths"] == 16
     assert len(payload["checkpoints"]) == 2
 
@@ -178,6 +180,17 @@ def test_cli_simulate_json(cfg_file, tmp_path):
 def test_cli_simulate_mesh_beyond_the_cap_is_a_usage_error(cfg_file, capsys):
     assert main(["simulate", str(cfg_file), "--t", "1", "--step", "1e-9"]) == 1
     assert "more than 1000000 mesh steps" in capsys.readouterr().err
+
+
+def test_cli_simulate_unallocatable_ensemble_is_a_usage_error(capsys):
+    # 1e13 paths ask for 146 TiB, beyond the user address space: the
+    # allocation fails at once without touching memory
+    argv = ["simulate", str(FELLER), "--paths", "10000000000000", "--t", "0.01",
+            "--checkpoints", "0.01", "--step", "0.01"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bibranch: Unable to allocate")
+    assert err.count("\n") == 1
 
 
 def test_cli_functional(cfg_file, tmp_path, capsys):
@@ -296,6 +309,37 @@ def test_cli_verify_reports_skips_on_stderr(tmp_path, capsys):
     main(["verify", "--scenario", str(p), "--threads", "1", "--out", str(tmp_path / "r.json")])
     line = capsys.readouterr().err.strip().splitlines()[-1]
     assert line.endswith("s; skipped moment: state variance infinite (uncapped power tail))")
+
+
+RUN_VALUES = {"t": 0.5, "x0": [2.0, 0.5], "seed": 3, "step": 0.01, "lambda": [0.5, 0.25]}
+
+
+@pytest.mark.parametrize("command, keys, extra", [
+    ("cumulant", ("t", "lambda"), []),
+    ("moments", ("t", "x0"), []),
+    ("simulate", ("t", "x0", "seed", "step"), ["--paths", "200"]),
+    ("functional", ("t", "lambda", "x0", "seed", "step"), ["--mc", "200"]),
+    ("extinction", ("t", "x0", "seed", "step"), ["--paths", "200"]),
+])
+def test_run_block_gives_the_same_output_as_flags(command, keys, extra, tmp_path, capsys):
+    cfg = json.loads((FELLER.parent / "dirac_cross.json").read_text())
+    run = {k: RUN_VALUES[k] for k in ("t", "x0", "seed", "step")}
+    if "lambda" in keys:
+        run["lambda"] = RUN_VALUES["lambda"]
+    flags = []
+    for k in keys:
+        v = RUN_VALUES[k]
+        flags += [f"--{k}", ",".join(map(str, v)) if isinstance(v, list) else str(v)]
+    outputs = []
+    for name, block, argv in (("run", run, []), ("flags", {}, flags)):
+        cfg["run"] = block
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / f"{name}.out"
+        assert main([command, str(path), "--out", str(out), *argv, *extra]) == 0
+        text = out.read_text() if out.exists() else ""
+        outputs.append((text, *capsys.readouterr()))
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_extinction_rejects_negative_x0(capsys):

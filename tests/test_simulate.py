@@ -503,10 +503,11 @@ def test_block_search_keeps_a_key_in_the_block_its_edges_give():
     assert _block_search(x, edges, u).tolist() == [B - 1, B]
 
 
-def test_step_overflow_guard_threshold():
+def test_step_overflow_guard_threshold(monkeypatch):
     # one step of width 0.25 at unit rate and mass: expected events 0.25 * x
+    monkeypatch.setattr(simulate, "_JUMP_COUNT_GUARD", 2.0)
     env = make_env(m1=JumpKernel(((Density.constant(1.0), Dirac((1.0, 0.0), 1.0)),)))
-    opts = SimOptions(step=0.25, jump_count_guard=2.0)
+    opts = SimOptions(step=0.25)
     # exactly at the guard on every path: the summed rate is far above it
     simulate_ensemble(env, (8.0, 0.0), 0.25, (0.25,), (), 10, opts, NoiseStream(41))
     with pytest.raises(SimulationError, match="step-overflow"):
