@@ -71,11 +71,15 @@ def _setup(args, need_zeta=False):
 
 
 def _opt(args, run, key, default, cast):
-    """The flag ``--key``, else ``run[key]``, else the default, through cast."""
+    """The flag ``--key``, else ``run[key]``, else the default, through cast;
+    flags arrive cast, so a value cast rejects is a malformed ``run.<key>``."""
     val = getattr(args, key, None)
     if val is None:
         val = run.get(key, default)
-    return cast(val)
+    try:
+        return cast(val)
+    except (TypeError, ValueError):
+        raise ValueError(f"run.{key} has the wrong form: {val!r}") from None
 
 
 def _write_text(path, text):
@@ -146,7 +150,7 @@ def _sim_options(args, run):
 
 def _lambda_grid(args, run):
     if not args.lambda_grid:
-        return [tuple(l) for l in run.get("lambda_grid", [])]
+        return _opt(None, run, "lambda_grid", [], lambda g: list(map(tuple, g)))
     grid = []
     with open(args.lambda_grid, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
@@ -230,11 +234,10 @@ def cmd_extinction(args):
 
 
 def _scenario_from_config(cfg) -> Scenario:
-    """One verify scenario; run options go through the same path as simulate."""
+    """One verify scenario; run options go through the same path as simulate
+    (verify has no per-option flags)."""
     env = cfgmod.env_from_config(cfg)
     run = cfg.get("run", {})
-    opts = _sim_options(None, run)  # verify has no per-option flags
-    x0_high = run.get("x0_high")
     t = _opt(None, run, "t", env.horizon, float)
     return Scenario(
         name=cfg.get("name", "scenario"),
@@ -242,16 +245,14 @@ def _scenario_from_config(cfg) -> Scenario:
         x0=_opt(None, run, "x0", (1.0, 1.0), tuple),
         t=t,
         checkpoints=_opt(None, run, "checkpoints", (t,), tuple),
-        lam_grid=tuple(tuple(l) for l in run.get("lambda_grid", [(1.0, 1.0)])),
+        lam_grid=_opt(None, run, "lambda_grid", [(1.0, 1.0)], lambda g: tuple(map(tuple, g))),
         n_paths=_opt(None, run, "paths", 10000, int),
         seed=_opt(None, run, "seed", 0, int),
-        step=opts.step,
-        small_jump_mode=opts.small_jump_mode,
-        small_jump_eps=opts.small_jump_eps,
+        opts=_sim_options(None, run),
         zeta=cfgmod.zeta_from_config(cfg),
-        x0_high=tuple(x0_high) if x0_high is not None else None,
-        coupled_pairs=int(run.get("coupled_pairs", 0)),
-        truncation=bool(run.get("truncation", False)),
+        x0_high=_opt(None, run, "x0_high", None, lambda v: v if v is None else tuple(v)),
+        coupled_pairs=_opt(None, run, "coupled_pairs", 0, int),
+        truncation=_opt(None, run, "truncation", False, bool),
     )
 
 

@@ -35,6 +35,11 @@ differ by subcommand on purpose: ``lambda`` is (1, 1) for ``cumulant`` and
 [[1, 1]] for ``verify --scenario``.  ``extinction --paths`` and
 ``functional --mc`` are opt-in flags and do not read ``paths``.
 
+Admission is the same for every subcommand, ``simulate`` included: ``t``
+lies in [0, horizon], ``x0`` and ``lambda`` are nonnegative pairs, no value
+is NaN (Python's ``json`` reads ``NaN``), and a malformed ``run`` value is a
+usage error that names ``run.<key>``.
+
 Density specs: ``{"kind": "constant", "v": 1.0}``,
 ``{"kind": "piecewise_linear", "points": [[t, v], ...]}`` or
 ``{"kind": "table", "mesh": [...], "values": [...]}``.  Measure kinds are

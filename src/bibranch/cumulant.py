@@ -61,7 +61,7 @@ import operator
 import numpy as np
 
 from .densities import Density
-from .environment import EnvSpec, atom_info
+from .environment import EnvSpec, atom_info, nonnegative_pair
 from .measures import _stable_const
 
 __all__ = [
@@ -573,11 +573,8 @@ def _piece_from_infinity(env, rhs, lo, hi, v, neg_tol):
 
 def _integrate_backward(env, t, lam, zeta=None, r_end=0.0):
     """Shared core for the cumulant and weighted-functional systems."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (2,) or lam[0] < 0.0 or lam[1] < 0.0:
-        raise ValueError("lambda must be a nonnegative 2-vector")
-    if not (0.0 <= r_end <= t <= env.horizon + 1e-12):
-        raise ValueError("need 0 <= r_end <= t <= horizon")
+    lam = nonnegative_pair(lam, "lambda")
+    env.check_window(r_end, t)
 
     hard = env.hard_points(r_end, t, zeta)
     atom_set = set(env.atom_times(r_end, t, extra=zeta.atom_times if zeta is not None else ()))
@@ -630,16 +627,9 @@ def solve_backward(env: EnvSpec, t: float, lam) -> PiecewiseSolution:
     return _integrate_backward(env, t, lam)
 
 
-def _nonnegative_x(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (2,) or np.any(x < 0):
-        raise ValueError("x must be a nonnegative 2-vector")
-    return x
-
-
 def laplace_transform(env: EnvSpec, x, r: float, t: float, lam) -> float:
     """Transition-kernel Laplace transform exp(-<x, v_{r,t}(lam)>), with 0 * inf = 0."""
-    x = _nonnegative_x(x)
+    x = nonnegative_pair(x, "x")
     sol = _integrate_backward(env, t, lam, r_end=r)
     return float(np.exp(-x @ np.where(x > 0, sol.at(r), 0.0)))
 
@@ -671,7 +661,7 @@ def v_infinity(env: EnvSpec, t: float):
 
 def extinction_prob(env: EnvSpec, x, t: float) -> float:
     """P(extinct by t) = exp(-<x, v_{0,t}(infinity)>), 0 when a needed limit is infinite."""
-    x = _nonnegative_x(x)
+    x = nonnegative_pair(x, "x")
     limit, _ = v_infinity(env, t)
     needed = [i for i in range(2) if x[i] > 0]
     if any(math.isinf(limit[i]) for i in needed):

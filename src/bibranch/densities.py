@@ -34,6 +34,8 @@ class Density:
             raise ValueError("knots and values must be 1-d arrays of equal length")
         if knots.size == 0:
             raise ValueError("density needs at least one knot")
+        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
+            raise ValueError("density knots and values must be finite")
         if np.any(np.diff(knots) <= 0):
             raise ValueError("knot times must be strictly increasing")
         self.kind = kind
@@ -152,7 +154,7 @@ class SignedMeasure1D:
     def __post_init__(self):
         atoms = tuple((float(t), float(m)) for t, m in self.atoms)
         times = [t for t, _ in atoms]
-        if any(t <= 0 for t in times):
+        if not all(t > 0 for t in times):
             raise ValueError("atom times must be positive")
         if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise ValueError("atom times must be strictly increasing")

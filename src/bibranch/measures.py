@@ -39,7 +39,7 @@ class UncompensatedStableError(ValueError):
 
 def _as_pair(lam):
     l1, l2 = float(lam[0]), float(lam[1])
-    if l1 < 0 or l2 < 0:
+    if not (l1 >= 0 and l2 >= 0):
         raise ValueError("lambda must be componentwise nonnegative")
     return l1, l2
 
@@ -54,9 +54,9 @@ class Dirac:
     def __post_init__(self):
         z = (float(self.z[0]), float(self.z[1]))
         object.__setattr__(self, "z", z)
-        if min(z) < 0 or max(z) == 0:
+        if not (z[0] >= 0 and z[1] >= 0 and (z[0] > 0 or z[1] > 0)):
             raise ValueError("Dirac location must be in R_+^2 minus the origin")
-        if self.weight <= 0:
+        if not self.weight > 0:
             raise ValueError("weight must be positive")
 
     infinite_activity = False
@@ -111,7 +111,7 @@ class ExpProduct:
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.theta1 <= 0 or self.theta2 <= 0 or self.weight <= 0:
+        if not (self.theta1 > 0 and self.theta2 > 0 and self.weight > 0):
             raise ValueError("ExpProduct needs positive rates and weight")
 
     infinite_activity = False
@@ -238,7 +238,7 @@ class StableAxis:
             raise ValueError("axis must be 0 or 1")
         if not (1.0 < self.alpha < 2.0):
             raise ValueError("alpha must lie strictly in (1, 2)")
-        if self.weight <= 0:
+        if not self.weight > 0:
             raise ValueError("weight must be positive")
 
     infinite_activity = True
@@ -311,7 +311,7 @@ class CappedExpProduct:
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.theta1 <= 0 or self.theta2 <= 0 or self.weight <= 0 or self.cap <= 0:
+        if not (self.theta1 > 0 and self.theta2 > 0 and self.weight > 0 and self.cap > 0):
             raise ValueError("CappedExpProduct needs positive rates, weight and cap")
 
     infinite_activity = False
@@ -392,7 +392,7 @@ class CappedStableAxis:
             raise ValueError("axis must be 0 or 1")
         if not (1.0 < self.alpha < 2.0):
             raise ValueError("alpha must lie strictly in (1, 2)")
-        if self.weight <= 0 or self.cap <= 0:
+        if not (self.weight > 0 and self.cap > 0):
             raise ValueError("weight and cap must be positive")
 
     infinite_activity = True

@@ -29,18 +29,15 @@ import numpy as np
 
 from .cumulant import (PiecewiseSolution, _clip_negative, _coefficients, _constant_values,
                        _neg_tol, _solve_piece)
-from .environment import EnvSpec, atom_info, bar_b
+from .environment import EnvSpec, atom_info, bar_b, nonnegative_pair
 
 __all__ = ["first_moment", "moment_bound"]
 
 
 def first_moment(env: EnvSpec, x0, t: float) -> PiecewiseSolution:
-    """Solve the linear mean system forward from x0 on [0, t]."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (2,) or np.any(x0 < 0):
-        raise ValueError("x0 must be a nonnegative 2-vector")
-    if not (0.0 < t <= env.horizon + 1e-12):
-        raise ValueError("need 0 < t <= horizon")
+    """Solve the linear mean system forward from x0 on [0, t]; at t = 0 it is x0."""
+    x0 = nonnegative_pair(x0, "x0")
+    env.check_window(0.0, t)
 
     # bar21 feeds type 1 from type 2, bar12 type 2 from type 1
     densities = [env.b[0][0].density, env.b[1][1].density,
@@ -81,7 +78,8 @@ def first_moment(env: EnvSpec, x0, t: float) -> PiecewiseSolution:
 
 def moment_bound(env: EnvSpec, x0, t: float) -> np.ndarray:
     """Symmetric Gronwall upper envelope for the mean at time t."""
-    x0 = np.asarray(x0, dtype=float)
+    x0 = nonnegative_pair(x0, "x0")
+    env.check_window(0.0, t)
     beta = max(env.b[0][0].total_variation(t), env.b[1][1].total_variation(t))
     bar21 = bar_b(env, 1, 0).cumulative(t)
     bar12 = bar_b(env, 0, 1).cumulative(t)

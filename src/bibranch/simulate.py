@@ -71,7 +71,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .densities import Density, SignedMeasure1D
-from .environment import AtomInfo, EnvSpec, JumpKernel, atom_info, validate
+from .environment import AtomInfo, EnvSpec, JumpKernel, atom_info, nonnegative_pair, validate
 from .noise import NoiseStream
 
 __all__ = [
@@ -116,7 +116,7 @@ class SimOptions:
     small_jump_mode: str = "drop"  # or "gaussian"
 
     def __post_init__(self):
-        if self.step <= 0 or self.small_jump_eps <= 0:
+        if not (self.step > 0 and self.small_jump_eps > 0):
             raise ValueError("step and small_jump_eps must be positive")
         if self.small_jump_mode not in ("drop", "gaussian"):
             raise ValueError("small_jump_mode must be 'drop' or 'gaussian'")
@@ -168,7 +168,7 @@ _JUMP_COUNT_GUARD = 1e6
 class _StepPlan:
     def __init__(self, env: EnvSpec, t0: float, t: float, opts: SimOptions,
                  checkpoints=(), zeta=None):
-        self.opts = opts
+        env.check_window(t0, t)
         required = env.hard_points(t0, t, zeta, extra=checkpoints)
         spans = list(zip(required[:-1], required[1:]))
         # clipped in floating point first, so that no step size can overflow the count
@@ -475,9 +475,7 @@ def _atom_apply(atom: AtomInfo, X: np.ndarray, rng, src=_INDEPENDENT,
 
 def _tile(x0, n: int) -> np.ndarray:
     """n copies of the start x0, the one entry point of every start state."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (2,) or np.any(x0 < 0):
-        raise ValueError("x0 must be a nonnegative 2-vector")
+    x0 = nonnegative_pair(x0, "x0")
     # + 0.0 turns -0.0 into +0.0, so an unclamped column never holds -0.0
     return np.asfortranarray(np.tile(x0 + 0.0, (n, 1)))
 
@@ -611,7 +609,7 @@ def simulate_path(env: EnvSpec, x0, t: float, opts: SimOptions, noise: NoiseStre
 def simulate_atom(env: EnvSpec, s: float, x_left, rng: np.random.Generator) -> np.ndarray:
     """Draw the exact branching update across the atom at time s."""
     x = np.atleast_2d(np.asarray(x_left, dtype=float))
-    if np.any(x < 0):
+    if not np.all(x >= 0):
         raise ValueError("x_left must be componentwise nonnegative")
     info = atom_info(env, s)
     out = x.copy() if info is None else _atom_apply(info, x, rng)
@@ -682,11 +680,10 @@ def extinction_frequency(env: EnvSpec, x0, t: float, n_paths: int, opts: SimOpti
 
 
 def _pair_start(x0_low, x0_high, h: int) -> np.ndarray:
-    x_low = np.asarray(x0_low, dtype=float)
-    x_high = np.asarray(x0_high, dtype=float)
-    if np.any(x_low > x_high):
+    low, high = _tile(x0_low, h), _tile(x0_high, h)
+    if np.any(low > high):
         raise ValueError("need x0_low <= x0_high componentwise")
-    return np.asfortranarray(np.vstack([_tile(x_low, h), _tile(x_high, h)]))
+    return np.asfortranarray(np.vstack([low, high]))
 
 
 def coupled_pair(env: EnvSpec, x0_low, x0_high, t: float, opts: SimOptions,
@@ -740,7 +737,7 @@ def truncate_large_jumps(env: EnvSpec, k: float) -> EnvSpec:
     excess is absorbed automatically because the augmented cross drift is
     recomputed from the truncated kernel.
     """
-    if k <= 0:
+    if not k > 0:
         raise ValueError("truncation level must be positive")
     new_b = [list(row) for row in env.b]
     new_m = []

@@ -21,7 +21,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,9 +68,7 @@ class Scenario:
     lam_grid: tuple
     n_paths: int
     seed: int
-    step: float
-    small_jump_mode: str = "drop"
-    small_jump_eps: float = 1e-2
+    opts: SimOptions
     zeta: WeightMeasure | None = None
     x0_high: tuple | None = None  # enables the distributional comparison gate
     coupled_pairs: int = 0  # pathwise ordering pairs (diffusion-free only)
@@ -79,10 +77,6 @@ class Scenario:
     truncation: bool = False
     checks: tuple = field(default_factory=lambda: ("validation", *GATES))
     gates: GateConfig = field(default_factory=GateConfig)
-
-    def sim_options(self, step=None) -> SimOptions:
-        return SimOptions(step=step or self.step, small_jump_eps=self.small_jump_eps,
-                          small_jump_mode=self.small_jump_mode)
 
 
 @dataclass
@@ -149,7 +143,7 @@ class _Context:
         if self._stats is None:
             sc, t0 = self.sc, time.perf_counter()
             self._stats = simulate_ensemble(sc.env, sc.x0, sc.t, sc.checkpoints, sc.lam_grid,
-                                            sc.n_paths, sc.sim_options(), self.noise)
+                                            sc.n_paths, sc.opts, self.noise)
             self.ensemble_s = time.perf_counter() - t0
         return self._stats
 
@@ -177,7 +171,7 @@ def _moment(sc, ctx):
     for a, cp in enumerate(stats.checkpoints):
         exact = curve.at(float(cp))
         for i in range(2):
-            floor = g.moment_floor_coeff * sc.step * max(1.0, abs(exact[i]))
+            floor = g.moment_floor_coeff * sc.opts.step * max(1.0, abs(exact[i]))
             worst = max(worst, _gate_ratio(stats.mean[a, i] - exact[i], stats.se_mean[a, i],
                                            g.moment_sigma, floor, g.se_degenerate))
     return [CheckResult("moment", worst, 1.0, worst <= 1.0)]
@@ -188,7 +182,7 @@ def _laplace(sc, ctx):
         return []
     g, stats = sc.gates, ctx.stats
     ratios, hard = [], []
-    floor = g.det_floor_coeff * sc.step
+    floor = g.det_floor_coeff * sc.opts.step
     for a, cp in enumerate(stats.checkpoints):
         for l, lam in enumerate(stats.lambdas):
             exact = laplace_transform(sc.env, sc.x0, 0.0, float(cp), lam)
@@ -209,12 +203,12 @@ def _comparison(sc, ctx):
     elif sc.coupled_pairs:
         x_hi = sc.x0_high or tuple(np.asarray(sc.x0) + 1.0)
         viol, _ = coupled_order_violations(sc.env, sc.x0, x_hi, sc.t, sc.coupled_pairs,
-                                           sc.sim_options(), ctx.noise)
+                                           sc.opts, ctx.noise)
         out.append(CheckResult("comparison-pathwise", float(viol), 0.0, viol == 0))
     if sc.x0_high is not None and len(sc.lam_grid):
         stats, n_high = ctx.stats, max(sc.n_paths // 4, 2)
         high = simulate_ensemble(sc.env, sc.x0_high, sc.t, (sc.t,), sc.lam_grid, n_high,
-                                 sc.sim_options(), NoiseStream(sc.seed + 1))
+                                 sc.opts, NoiseStream(sc.seed + 1))
         worst = -math.inf
         for l in range(len(stats.lambdas)):
             pooled = math.hypot(stats.laplace_se[-1, l], high.laplace_se[-1, l])
@@ -245,12 +239,12 @@ def _extinction(sc, ctx):
         return [CheckResult("extinction-exact", freq, 1.0, freq == 1.0)]
     p_pred = extinction_prob(sc.env, sc.x0, sc.t)
     se = math.sqrt(max(freq * (1.0 - freq), 0.0) / sc.n_paths)
-    floor = g.moment_floor_coeff * sc.step
+    floor = g.moment_floor_coeff * sc.opts.step
     ratio = _gate_ratio(freq - p_pred, se, g.extinction_sigma, floor, g.se_degenerate)
     out = [CheckResult("extinction", ratio, 1.0, ratio <= 1.0)]
     if sc.extinction_coarse_step is not None:
         pc, _ = extinction_frequency(sc.env, sc.x0, sc.t, sc.n_paths,
-                                     sc.sim_options(step=sc.extinction_coarse_step),
+                                     replace(sc.opts, step=sc.extinction_coarse_step),
                                      NoiseStream(sc.seed + 2))
         bias_fine = abs(freq - p_pred)
         bias_coarse = abs(pc - p_pred)
@@ -274,8 +268,8 @@ def _functional(sc, ctx):
     w = solve_w(sc.env, sc.zeta, 0.0, sc.t)
     pred = float(np.exp(-np.asarray(sc.x0) @ w))
     est, se = mc_functional(sc.env, sc.x0, sc.zeta, 0.0, sc.t, sc.n_paths,
-                            sc.sim_options(), ctx.noise)
-    ratio = _gate_ratio(est - pred, se, g.mc_sigma, g.det_floor_coeff * sc.step,
+                            sc.opts, ctx.noise)
+    ratio = _gate_ratio(est - pred, se, g.mc_sigma, g.det_floor_coeff * sc.opts.step,
                         g.se_degenerate)
     return [CheckResult("functional-reduction", red, g.reduction_tol, red <= g.reduction_tol),
             CheckResult("functional-terminal-identity", term, g.terminal_identity_tol,
@@ -381,47 +375,47 @@ def suite():
     """Built-in scenarios; fixed seeds make the whole run reproducible."""
     scenarios = [
         Scenario("zero-env", EnvSpec.zero(1.0), (1.0, 0.5), 1.0, CHECKPOINTS,
-                 LAM_GRID_TWO, 100_000, 101, 1e-3, coupled_pairs=1000),
+                 LAM_GRID_TWO, 100_000, 101, SimOptions(1e-3), coupled_pairs=1000),
         Scenario("linear-deterministic",
                  _env(b11=_const(0.8), b12=_const(0.4), b21=_const(0.2),
                       b22=_const(-0.3)),
-                 (1.0, 2.0), 1.0, CHECKPOINTS, LAM_GRID_TWO, 100_000, 102, 1e-4,
+                 (1.0, 2.0), 1.0, CHECKPOINTS, LAM_GRID_TWO, 100_000, 102, SimOptions(1e-4),
                  coupled_pairs=1000),
         Scenario("feller-embed", feller_embed_env(), (1.0, 0.0), 1.0, CHECKPOINTS,
-                 LAM_GRID_ONE, 100_000, 103, 1e-4, x0_high=(2.0, 0.0),
+                 LAM_GRID_ONE, 100_000, 103, SimOptions(1e-4), x0_high=(2.0, 0.0),
                  extinction_coarse_step=4e-2),
         Scenario("decoupled-two-type",
                  _env(b11=_const(0.6), c1=_const(0.3), b22=_const(-0.2),
                       c2=_const(0.2),
                       m1=JumpKernel(((Density.constant(0.5), Dirac((0.4, 0.0), 1.0)),)),
                       m2=JumpKernel(((Density.constant(0.4), Dirac((0.0, 0.3), 1.0)),))),
-                 (1.0, 2.0), 1.0, CHECKPOINTS, LAM_GRID_TWO, 100_000, 104, 1e-4,
+                 (1.0, 2.0), 1.0, CHECKPOINTS, LAM_GRID_TWO, 100_000, 104, SimOptions(1e-4),
                  x0_high=(2.0, 3.0)),
         Scenario("dirac-cross", dirac_cross_env(), (1.0, 1.0), 1.0, CHECKPOINTS,
-                 LAM_GRID_TWO, 100_000, 105, 1e-3, x0_high=(2.0, 1.5),
+                 LAM_GRID_TWO, 100_000, 105, SimOptions(1e-3), x0_high=(2.0, 1.5),
                  coupled_pairs=1000),
         Scenario("stable-jump", stable_jump_env(), (1.0, 0.0), 1.0, CHECKPOINTS,
-                 LAM_GRID_ONE, 100_000, 106, 1e-3, small_jump_mode="gaussian",
+                 LAM_GRID_ONE, 100_000, 106, SimOptions(1e-3, small_jump_mode="gaussian"),
                  coupled_pairs=1000, truncation=True, x0_high=(2.0, 0.0)),
         Scenario("stable-jump-capped", truncate_large_jumps(stable_jump_env(), 2.0),
-                 (1.0, 0.0), 1.0, CHECKPOINTS, LAM_GRID_ONE, 100_000, 107, 1e-3,
-                 small_jump_mode="gaussian", coupled_pairs=1000),
+                 (1.0, 0.0), 1.0, CHECKPOINTS, LAM_GRID_ONE, 100_000, 107,
+                 SimOptions(1e-3, small_jump_mode="gaussian"), coupled_pairs=1000),
         Scenario("atom-rich", atom_rich_env(), (1.0, 1.0), 1.0, (0.4, 0.7, 1.0),
-                 LAM_GRID_TWO, 100_000, 108, 1e-3, coupled_pairs=1000,
+                 LAM_GRID_TWO, 100_000, 108, SimOptions(1e-3), coupled_pairs=1000,
                  x0_high=(2.0, 2.0)),
         Scenario("bottleneck", _env(b11=_atoms((0.5, 1.0))), (1.0, 0.0), 1.0,
-                 (0.4, 1.0), LAM_GRID_ONE, 100_000, 109, 1e-3,
+                 (0.4, 1.0), LAM_GRID_ONE, 100_000, 109, SimOptions(1e-3),
                  extinction_exact_one=True, coupled_pairs=1000),
         Scenario("functional-density", feller_embed_env(), (1.0, 0.0), 1.0,
-                 (1.0,), LAM_GRID_ONE, 100_000, 110, 1e-3,
+                 (1.0,), LAM_GRID_ONE, 100_000, 110, SimOptions(1e-3),
                  zeta=WeightMeasure((_const(1.0), _zero())),
                  checks=("validation", "functional")),
         Scenario("functional-atoms", dirac_cross_env(), (1.0, 1.0), 1.0,
-                 (1.0,), LAM_GRID_TWO, 100_000, 111, 1e-3,
+                 (1.0,), LAM_GRID_TWO, 100_000, 111, SimOptions(1e-3),
                  zeta=WeightMeasure((_atoms((0.4, 0.6)), _atoms((0.7, 0.5)))),
                  checks=("validation", "functional")),
         Scenario("functional-terminal-atom", feller_embed_env(), (1.0, 0.0), 1.0,
-                 (1.0,), LAM_GRID_ONE, 100_000, 112, 1e-3,
+                 (1.0,), LAM_GRID_ONE, 100_000, 112, SimOptions(1e-3),
                  zeta=WeightMeasure((_atoms((1.0, 2.0)), _zero())),
                  checks=("validation", "functional")),
     ]

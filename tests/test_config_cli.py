@@ -9,7 +9,7 @@ from bibranch.cli import _scenario_from_config, main
 from bibranch.densities import Density
 from bibranch.environment import JumpKernel
 from bibranch.measures import CappedStableAxis, ExpProduct, StableAxis
-from bibranch.simulate import truncate_large_jumps
+from bibranch.simulate import SimOptions, truncate_large_jumps
 
 from conftest import make_env
 
@@ -268,13 +268,13 @@ def test_cli_verify_scenario_file(tmp_path):
 def test_verify_scenario_honours_run_options():
     cfg = cfgmod.load_config(Path(__file__).resolve().parents[1] / "configs" / "stable_jump.json")
     sc = _scenario_from_config(cfg)
-    assert sc.small_jump_mode == "gaussian"
-    assert sc.sim_options().small_jump_mode == "gaussian"
+    assert sc.opts.small_jump_mode == "gaussian"
+    assert sc.opts == SimOptions(step=1e-3, small_jump_mode="gaussian")
     assert (sc.x0_high, sc.coupled_pairs, sc.truncation) == (None, 0, False)
     cfg["run"].update(small_jump_eps=0.05, x0_high=[2.0, 0.0], coupled_pairs=50,
                       truncation=True)
     sc = _scenario_from_config(cfg)
-    assert sc.small_jump_eps == 0.05
+    assert sc.opts.small_jump_eps == 0.05
     assert sc.x0_high == (2.0, 0.0)
     assert sc.coupled_pairs == 50 and sc.truncation is True
 
@@ -345,6 +345,20 @@ def test_run_block_gives_the_same_output_as_flags(command, keys, extra, tmp_path
 def test_cli_extinction_rejects_negative_x0(capsys):
     assert main(["extinction", str(FELLER), "--x0=-1,0"]) == 1
     assert capsys.readouterr().err == "bibranch: x must be a nonnegative 2-vector\n"
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["moments"], "x0", 1.0),
+    (["verify", "--threads", "1", "--scenario"], "x0_high", 2.0),
+    (["cumulant"], "t", [1.0]),
+], ids=["moments", "verify", "cumulant"])
+def test_malformed_run_value_is_a_usage_error(argv, key, value, tmp_path, capsys):
+    cfg = json.loads(FELLER.read_text())
+    cfg["run"][key] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    assert main([*argv, str(p)]) == 1
+    assert capsys.readouterr().err == f"bibranch: run.{key} has the wrong form: {value!r}\n"
 
 
 def test_cli_lambda_grid_needs_two_numbers_per_line(tmp_path, capsys):

@@ -17,6 +17,13 @@ def test_zero_environment_constant_mean():
         assert curve.at(t) == pytest.approx([1.3, 0.4])
 
 
+def test_first_moment_at_time_zero_is_the_start():
+    curve = first_moment(make_env(b11=const(0.8)), (1.3, 0.4), 0.0)
+    assert curve.at(0.0).tolist() == [1.3, 0.4]
+    ts, ms, _, _ = curve.grid()
+    assert ts.tolist() == [0.0] and ms.tolist() == [[1.3, 0.4]]
+
+
 def test_diagonal_decay():
     b = 0.8
     curve = first_moment(make_env(b11=const(b)), (1.0, 0.0), 1.0)

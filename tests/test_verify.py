@@ -13,6 +13,7 @@ from bibranch.verify import (
     suite,
 )
 from bibranch.environment import validate
+from bibranch.simulate import SimOptions
 
 from conftest import atoms_only, const, make_env
 
@@ -24,14 +25,14 @@ def test_suite_is_large_enough_and_valid():
     assert len(set(names)) == len(names)
     for sc in scenarios:
         assert validate(sc.env).passed, sc.name
-        assert sc.n_paths >= 2 and sc.step > 0
+        assert sc.n_paths >= 2 and sc.opts.step > 0
 
 
 def test_adversarial_delta_fails_validation_and_skips_rest():
     sc = Scenario(
         name="adversarial", env=make_env(b11=atoms_only((0.5, 1.05))),
         x0=(1.0, 0.0), t=1.0, checkpoints=(1.0,), lam_grid=((1.0, 0.0),),
-        n_paths=100, seed=1, step=1e-2)
+        n_paths=100, seed=1, opts=SimOptions(step=1e-2))
     rep = run_scenario(sc)
     assert not rep.passed
     assert [c.name for c in rep.checks] == ["validation"]
@@ -43,7 +44,7 @@ def _tiny_scenario(seed=5):
         name="tiny-feller",
         env=make_env(b11=const(1.0), c1=const(0.5)),
         x0=(1.0, 0.0), t=0.5, checkpoints=(0.25, 0.5),
-        lam_grid=((1.0, 0.0), (2.0, 0.0)), n_paths=4000, seed=seed, step=2e-3,
+        lam_grid=((1.0, 0.0), (2.0, 0.0)), n_paths=4000, seed=seed, opts=SimOptions(step=2e-3),
         x0_high=(2.0, 0.0), extinction_coarse_step=4e-2)
 
 
@@ -131,7 +132,7 @@ def test_ensemble_is_built_only_when_a_gate_reads_it(monkeypatch):
     monkeypatch.setattr(verify, "simulate_ensemble", counting)
     sc = Scenario(name="pairs-only", env=make_env(b11=const(0.5)), x0=(1.0, 0.0), t=0.5,
                   checkpoints=(0.5,), lam_grid=((1.0, 0.0),), n_paths=100, seed=3,
-                  step=1e-2, coupled_pairs=20, checks=("validation", "comparison"))
+                  opts=SimOptions(step=1e-2), coupled_pairs=20, checks=("validation", "comparison"))
     rep = run_scenario(sc)
     assert [c.name for c in rep.checks] == ["validation", "comparison-pathwise"]
     assert calls == []
