@@ -56,18 +56,25 @@ _SHARED_FLAGS = {
 }
 
 
+def _run_block(cfg) -> dict:
+    run = cfg.get("run", {})
+    if not isinstance(run, dict):
+        raise ValueError(f"run must be an object, got {run!r}")
+    return run
+
+
 def _setup(args, need_zeta=False):
     """Parse the config once, write ``--dump-config`` from what was parsed and
     validate the environment; returns ``(env, run, zeta)``."""
     cfg = cfgmod.load_config(args.env)
-    env = cfgmod.env_from_config(cfg)
+    env, run = cfgmod.env_from_config(cfg), _run_block(cfg)
     zeta = cfgmod.zeta_from_config(cfg) if need_zeta or args.dump_config else None
     if args.dump_config:
-        cfgmod.dump_config(cfgmod.env_to_config(env, zeta, cfg.get("run")), args.dump_config)
+        cfgmod.dump_config(cfgmod.env_to_config(env, zeta, run), args.dump_config)
     report = validate(env)
     if not report.passed:
         raise _InvalidEnvironment(report)
-    return env, cfg.get("run", {}), zeta
+    return env, run, zeta
 
 
 def _opt(args, run, key, default, cast):
@@ -236,8 +243,7 @@ def cmd_extinction(args):
 def _scenario_from_config(cfg) -> Scenario:
     """One verify scenario; run options go through the same path as simulate
     (verify has no per-option flags)."""
-    env = cfgmod.env_from_config(cfg)
-    run = cfg.get("run", {})
+    env, run = cfgmod.env_from_config(cfg), _run_block(cfg)
     t = _opt(None, run, "t", env.horizon, float)
     return Scenario(
         name=cfg.get("name", "scenario"),

@@ -42,9 +42,14 @@ usage error that names ``run.<key>``.
 
 Density specs: ``{"kind": "constant", "v": 1.0}``,
 ``{"kind": "piecewise_linear", "points": [[t, v], ...]}`` or
-``{"kind": "table", "mesh": [...], "values": [...]}``.  Measure kinds are
-documented in :mod:`bibranch.measures`.  ``types[i].b_cross`` is the drift
-row entry b_{i,j} toward the other type j.
+``{"kind": "table", "mesh": [...], "values": [...]}``.  A spatial measure
+spec names a class of :mod:`bibranch.measures` by ``kind`` and gives its
+parameters and an optional ``weight`` (default 1): ``dirac`` (``Dirac``:
+``z``), ``exp_product`` (``ExpProduct``: ``theta1``, ``theta2``),
+``stable_axis`` (``StableAxis``: ``axis`` counted from 1, ``alpha``),
+``exp_product_capped`` and ``stable_axis_capped`` (``CappedExpProduct`` and
+``CappedStableAxis``: the same and ``cap``).  ``types[i].b_cross`` is the
+drift row entry b_{i,j} toward the other type j.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from pathlib import Path
 from .densities import Density, SignedMeasure1D
 from .environment import EnvSpec, JumpKernel
 from .functionals import WeightMeasure
-from .measures import measure_from_config
+from .measures import CappedExpProduct, CappedStableAxis, Dirac, ExpProduct, StableAxis
 
 __all__ = [
     "load_config",
@@ -102,14 +107,44 @@ def _measure1d_to(sm: SignedMeasure1D) -> dict:
     return out
 
 
+# measure kind -> (class, the fields its constructor takes before the weight)
+_MEASURES = {
+    "dirac": (Dirac, ("z",)),
+    "exp_product": (ExpProduct, ("theta1", "theta2")),
+    "stable_axis": (StableAxis, ("axis", "alpha")),
+    "exp_product_capped": (CappedExpProduct, ("theta1", "theta2", "cap")),
+    "stable_axis_capped": (CappedStableAxis, ("axis", "alpha", "cap")),
+}
+# field -> (file value to attribute, attribute to file value), where they differ
+_FIELD_FORMS = {"z": (tuple, list), "axis": (lambda a: int(a) - 1, lambda a: a + 1)}
+
+
+def _measure_from(d):
+    kind = d.get("kind")
+    if kind not in _MEASURES:
+        raise ValueError(f"unsupported spatial measure kind: {kind!r}")
+    cls, fields = _MEASURES[kind]
+    args = [_FIELD_FORMS[f][0](d[f]) if f in _FIELD_FORMS else d[f] for f in fields]
+    return cls(*args, d.get("weight", 1.0))
+
+
+def _measure_to(meas) -> dict:
+    kind, fields = next((k, f) for k, (cls, f) in _MEASURES.items() if type(meas) is cls)
+    out = {"kind": kind, "weight": meas.weight}
+    for f in fields:
+        val = getattr(meas, f)
+        out[f] = _FIELD_FORMS[f][1](val) if f in _FIELD_FORMS else val
+    return out
+
+
 def _kernel_from(d) -> JumpKernel:
     if d is None:
         return JumpKernel.zero()
     comps = tuple(
-        (_density_from(c.get("rate")), measure_from_config(c["measure"]))
+        (_density_from(c.get("rate")), _measure_from(c["measure"]))
         for c in d.get("density_components", ())
     )
-    atoms = tuple((a["t"], measure_from_config(a["measure"])) for a in d.get("atoms", ()))
+    atoms = tuple((a["t"], _measure_from(a["measure"])) for a in d.get("atoms", ()))
     return JumpKernel(comps, atoms)
 
 
@@ -117,11 +152,11 @@ def _kernel_to(k: JumpKernel) -> dict:
     out = {}
     if k.density_components:
         out["density_components"] = [
-            {"rate": _density_to(rate), "measure": meas.to_config()}
+            {"rate": _density_to(rate), "measure": _measure_to(meas)}
             for rate, meas in k.density_components
         ]
     if k.atoms:
-        out["atoms"] = [{"t": t, "measure": meas.to_config()} for t, meas in k.atoms]
+        out["atoms"] = [{"t": t, "measure": _measure_to(meas)} for t, meas in k.atoms]
     return out
 
 

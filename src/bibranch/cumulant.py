@@ -536,18 +536,22 @@ def _piece_from_infinity(env, rhs, lo, hi, v, neg_tol):
                 f"unresolved-blow-up on [{lo:g}, {hi:g}]: type {i + 1} is fed by a "
                 "blow-up through a cross drift that vanishes where it starts")
     if len(stuck) == 2:
-        return (lo, hi, None, v.copy(), v.copy()), v.copy()
+        inf = np.full(2, math.inf)
+        return (lo, hi, None, inf, v.copy()), inf.copy()
 
     beta = [order[i][0] if i in blow else 1.0 for i in range(2)]
     power = [1.0 / (beta[i] - 1.0) if i in blow else 0.0 for i in range(2)]
     floor = [_BIG ** (1.0 - beta[i]) for i in range(2)]  # y below it means v above _BIG
+    # y above it means v below 1/_BIG, where v^-beta would overflow the float range
+    ceiling = [_BIG ** (beta[i] - 1.0) for i in range(2)]
     r0 = hi - _START_FRAC * (hi - lo) if blow else hi
     y0 = np.array([0.0 if i in stuck
                    else (beta[i] - 1.0) * order[i][1].integral(r0, hi) if i in blow
                    else v[i] for i in range(2)])
 
     def fun(r, y):
-        w = [_BIG if i in stuck else (y[i] ** -power[i] if y[i] > floor[i] else _BIG)
+        w = [_BIG if i in stuck else (min(y[i], ceiling[i]) ** -power[i]
+                                      if y[i] > floor[i] else _BIG)
              if i in blow else y[i] for i in range(2)]
         d = rhs(r, w)
         return [0.0 if i in stuck else (1.0 - beta[i]) * w[i] ** -beta[i] * d[i]
@@ -573,7 +577,7 @@ def _piece_from_infinity(env, rhs, lo, hi, v, neg_tol):
 
 def _integrate_backward(env, t, lam, zeta=None, r_end=0.0):
     """Shared core for the cumulant and weighted-functional systems."""
-    lam = nonnegative_pair(lam, "lambda")
+    lam = nonnegative_pair(lam, "lambda", inf_ok=True)
     env.check_window(r_end, t)
 
     hard = env.hard_points(r_end, t, zeta)
@@ -650,13 +654,13 @@ def v_infinity(env: EnvSpec, t: float):
     Returns ``(limit, diagnostic)``.  ``limit`` holds ``inf`` for components
     that stay infinite; ``diagnostic["status"]`` marks each component
     ``converged`` (finite limit) or ``diverged``.  ``diagnostic["ladder"]``
-    and ``diagnostic["values"]`` are empty: they held the trace of the
-    large-lambda ladder this sweep replaced.  Raises :class:`SolverError` on
-    structure the sweep cannot resolve, never an undecided value.
+    is empty: it held the trace of the large-lambda ladder this sweep
+    replaced.  Raises :class:`SolverError` on structure the sweep cannot
+    resolve, never an undecided value.
     """
     limit = _integrate_backward(env, t, (math.inf, math.inf)).at(0.0)
     status = tuple("diverged" if math.isinf(x) else "converged" for x in limit)
-    return limit, {"status": status, "ladder": [], "values": np.empty((0, 2))}
+    return limit, {"status": status, "ladder": []}
 
 
 def extinction_prob(env: EnvSpec, x, t: float) -> float:

@@ -33,11 +33,14 @@ __all__ = [
 ]
 
 
-def nonnegative_pair(v, name: str) -> np.ndarray:
-    """v as a float 2-vector with both entries >= 0 (NaN fails, inf passes)."""
+def nonnegative_pair(v, name: str, inf_ok: bool = False) -> np.ndarray:
+    """v as a float 2-vector with both entries >= 0 (NaN fails) and finite;
+    ``inf_ok`` admits inf, as a terminal lambda may be."""
     v = np.asarray(v, dtype=float)
     if not (v.shape == (2,) and v[0] >= 0.0 and v[1] >= 0.0):
         raise ValueError(f"{name} must be a nonnegative 2-vector")
+    if not (inf_ok or (v[0] < math.inf and v[1] < math.inf)):
+        raise ValueError(f"{name} must be finite")
     return v
 
 
@@ -315,10 +318,12 @@ def validate(env: EnvSpec) -> ValidationReport:
 
 
 def _check_component(report, meas, kernel_axis: int, loc: str):
-    # a power tail's exponent is checked by its constructor
-    if meas.infinite_activity and meas.axis != kernel_axis:
-        report.add("uncompensated-stable", loc, meas.axis + 1,
-                   "power-tail component allowed only on the compensated coordinate")
-    if meas.mean(1 - kernel_axis) == math.inf:
+    # a power tail's exponent is checked by its constructor, and its one axis
+    # decides its cross moment, so a wrong axis is reported once, here
+    if meas.infinite_activity:
+        if meas.axis != kernel_axis:
+            report.add("uncompensated-stable", loc, meas.axis + 1,
+                       "power-tail component allowed only on the compensated coordinate")
+    elif meas.mean(1 - kernel_axis) == math.inf:
         report.add("cross-moment", loc, math.inf,
                    "cross-coordinate first moment must be finite")

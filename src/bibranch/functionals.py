@@ -81,7 +81,7 @@ def mc_functional(env: EnvSpec, x0, zeta: WeightMeasure, r: float, t: float,
         raise ValueError("need at least 2 paths for a standard error")
     rng = noise.substream("ensemble")
     plan = _StepPlan(env, r, t, opts, zeta=zeta)
-    coll = _FunctionalCollector()
+    coll = _FunctionalCollector(zeta)
     _run(plan, _tile(x0, n_paths), rng, (coll,))
     w = np.exp(-coll.A)
     est = float(w.mean())

@@ -29,7 +29,6 @@ __all__ = [
     "CappedExpProduct",
     "CappedStableAxis",
     "UncompensatedStableError",
-    "measure_from_config",
 ]
 
 
@@ -93,9 +92,6 @@ class Dirac:
     def truncated(self, cap: float) -> "Dirac":
         return Dirac((min(self.z[0], cap), min(self.z[1], cap)), self.weight)
 
-    def to_config(self) -> dict:
-        return {"kind": "dirac", "z": list(self.z), "weight": self.weight}
-
 
 def _gap_factor(lam: float, theta: float) -> float:
     """lam / (theta + lam), one minus an exponential Laplace factor; 1 at lam = inf."""
@@ -156,14 +152,6 @@ class ExpProduct:
 
     def truncated(self, cap: float) -> "CappedExpProduct":
         return CappedExpProduct(self.theta1, self.theta2, cap, self.weight)
-
-    def to_config(self) -> dict:
-        return {
-            "kind": "exp_product",
-            "theta1": self.theta1,
-            "theta2": self.theta2,
-            "weight": self.weight,
-        }
 
 
 @functools.cache
@@ -292,14 +280,6 @@ class StableAxis:
     def truncated(self, cap: float) -> "CappedStableAxis":
         return CappedStableAxis(self.axis, self.alpha, cap, self.weight)
 
-    def to_config(self) -> dict:
-        return {
-            "kind": "stable_axis",
-            "axis": self.axis + 1,
-            "alpha": self.alpha,
-            "weight": self.weight,
-        }
-
 
 @dataclass(frozen=True)
 class CappedExpProduct:
@@ -367,15 +347,6 @@ class CappedExpProduct:
 
     def truncated(self, cap: float) -> "CappedExpProduct":
         return CappedExpProduct(self.theta1, self.theta2, min(cap, self.cap), self.weight)
-
-    def to_config(self) -> dict:
-        return {
-            "kind": "exp_product_capped",
-            "theta1": self.theta1,
-            "theta2": self.theta2,
-            "cap": self.cap,
-            "weight": self.weight,
-        }
 
 
 @dataclass(frozen=True)
@@ -452,31 +423,3 @@ class CappedStableAxis:
     def truncated(self, cap: float) -> "CappedStableAxis":
         return CappedStableAxis(self.axis, self.alpha, min(cap, self.cap), self.weight)
 
-    def to_config(self) -> dict:
-        return {
-            "kind": "stable_axis_capped",
-            "axis": self.axis + 1,
-            "alpha": self.alpha,
-            "cap": self.cap,
-            "weight": self.weight,
-        }
-
-
-_KINDS = {
-    "dirac": lambda d: Dirac(tuple(d["z"]), d.get("weight", 1.0)),
-    "exp_product": lambda d: ExpProduct(d["theta1"], d["theta2"], d.get("weight", 1.0)),
-    "stable_axis": lambda d: StableAxis(int(d["axis"]) - 1, d["alpha"], d.get("weight", 1.0)),
-    "exp_product_capped": lambda d: CappedExpProduct(
-        d["theta1"], d["theta2"], d["cap"], d.get("weight", 1.0)
-    ),
-    "stable_axis_capped": lambda d: CappedStableAxis(
-        int(d["axis"]) - 1, d["alpha"], d["cap"], d.get("weight", 1.0)
-    ),
-}
-
-
-def measure_from_config(d: dict):
-    kind = d.get("kind")
-    if kind not in _KINDS:
-        raise ValueError(f"unsupported spatial measure kind: {kind!r}")
-    return _KINDS[kind](d)

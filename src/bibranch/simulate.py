@@ -4,7 +4,7 @@ One Euler step over (s, s+h] with no atoms, for each type i with j the other
 type, using the uncompensated-cross form of the driving equations:
 
     X_i +=  [X_j b'_ji(s) - X_i b'_ii(s)] h                  drift (raw cross)
-          + N(0, 2 c'_i(s) X_i h)                            white-noise part
+          + N(0, (2 c'_i(s) + s2_i(s)) X_i h)                Gaussian part
           + sum of jump draws adding the full vector z       both kernels
           - X_i h * (own-kernel first-moment rate)           own compensator
           (cross-kernel jumps stay uncompensated; their compensator is the
@@ -23,10 +23,11 @@ few paths, searches one cumsum of all paths instead.  A step without events
 draws nothing after its total.
 Power-tail components are split at a threshold eps: exact thinning above, and
 below either the compensated remainder is dropped or replaced by a
-variance-matched Gaussian.  At atom times the branching update is exact,
-read from the atom's ``AtomInfo`` (its strengths delta_i, the raw cross
-masses db_ji and the jump atoms), the same data as the cumulant's and the
-mean's jump maps:
+variance-matched Gaussian, s2_i(s) X_i h per step; it and the white noise are
+independent conditional Gaussians, drawn as one normal.  At atom times the
+branching update is exact, read from the atom's ``AtomInfo`` (its strengths
+delta_i, the raw cross masses db_ji and the jump atoms), the same data as the
+cumulant's and the mean's jump maps:
 
     X_i(s) = X_i(s-) (1 - delta_i(s)) + X_j(s-) db_ji(s) + Poisson sums,
 
@@ -49,9 +50,9 @@ on a whole interval (a weight density) are dropped when the plan is compiled.
 Adding an exact zero can only turn -0.0 into +0.0, and no state holds -0.0
 (a clamped column is clamped, and the others add nonnegative terms to a
 start of +0.0 or more), so every output byte stays as it was.  A plan that
-draws no random number (no diffusion, Gaussian term, live channel or atom
-jump) moves every row of an ensemble's identical start the same way, so the
-ensemble steps one row and tiles its snapshots.
+draws no random number (no Gaussian term, live channel or atom jump) moves
+every row of an ensemble's identical start the same way, so the ensemble
+steps one row and tiles its snapshots.
 
 Coupled pairs take the same step on one column-major (2h, 2) state, low
 copies in rows [0, h) and high copies in rows [h, 2h); only the
@@ -66,7 +67,7 @@ plus an independent normal over the gap for the higher copy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,6 +170,7 @@ class _StepPlan:
     def __init__(self, env: EnvSpec, t0: float, t: float, opts: SimOptions,
                  checkpoints=(), zeta=None):
         env.check_window(t0, t)
+        # a weight measure zeta only adds mesh points: its atoms and breakpoints
         required = env.hard_points(t0, t, zeta, extra=checkpoints)
         spans = list(zip(required[:-1], required[1:]))
         # clipped in floating point first, so that no step size can overflow the count
@@ -187,7 +189,6 @@ class _StepPlan:
         b_diag = (env.b[0][0].density(left), env.b[1][1].density(left))
         b_feed = (env.b[1][0].density(left), env.b[0][1].density(left))
         c = (env.c[0].density(left), env.c[1].density(left))
-        self.has_diffusion = (bool(np.any(c[0] > 0)), bool(np.any(c[1] > 0)))
 
         comp = [np.zeros_like(left), np.zeros_like(left)]
         gvar = [np.zeros_like(left), np.zeros_like(left)]
@@ -218,38 +219,24 @@ class _StepPlan:
         self.lin_keep = tuple(1.0 - (b_diag[i] + comp[i]) * self.dts for i in range(2))
         self.lin_feed = tuple(b_feed[i] * self.dts for i in range(2))
         self.has_feed = tuple(bool(np.any(f != 0.0)) for f in self.lin_feed)
-        self.diff_coef = tuple(2.0 * c[i] * self.dts for i in range(2))
-        self.gvar_dt = tuple(gvar[i] * self.dts for i in range(2))
+        # each type's one Gaussian term, white noise plus Gaussian small jumps
+        self.var_dt = tuple((2.0 * c[i] + gvar[i]) * self.dts for i in range(2))
+        self.noisy = tuple(bool(np.any(v > 0)) for v in self.var_dt)
         # without noise or a negative coefficient a column is a sum of nonnegative
         # terms (marks are nonnegative), so only the other columns need the clamp
-        self.clamp = tuple(
-            self.has_diffusion[i] or bool(np.any(self.gvar_dt[i] > 0))
-            or bool(np.any(self.lin_keep[i] < 0)) or bool(np.any(self.lin_feed[i] < 0))
-            for i in range(2))
+        self.clamp = tuple(self.noisy[i] or bool(np.any(self.lin_keep[i] < 0))
+                           or bool(np.any(self.lin_feed[i] < 0)) for i in range(2))
 
         atom_times = set(env.atom_times(t0, t))
         self.atom_at = {k: atom_info(env, s) for k, s in enumerate(self.mesh) if s in atom_times}
-        # no diffusion, Gaussian term, live channel or atom jump: no random number is drawn
+        # no Gaussian term, live channel or atom jump: no random number is drawn
         self.draws_nothing = not (
-            any(self.has_diffusion)
-            or any(np.any(g > 0) for g in self.gvar_dt)
+            any(self.noisy)
             or any(np.any(ch.rates_dt != 0.0) for ch in self.channels)
             or any(a is not None and any(a.jumps) for a in self.atom_at.values())
         )
 
         self.index_of = {float(s): k for k, s in enumerate(self.mesh)}
-        self.zeta = zeta
-        if zeta is not None:
-            self.zeta_density = np.column_stack([
-                np.asarray(zeta.per_type[0].density(self.mesh), dtype=float) + np.zeros(len(self.mesh)),
-                np.asarray(zeta.per_type[1].density(self.mesh), dtype=float) + np.zeros(len(self.mesh)),
-            ])
-            self.zeta_dense = np.any(self.zeta_density != 0.0, axis=1)
-            # weight atoms are hard points, so each one in [t0, t] is on the mesh
-            self.zeta_atom = {
-                self.index_of[s]: v for s in zeta.atom_times
-                if t0 <= s <= t and np.any((v := zeta.atom_vector(s)) != 0)
-            }
 
 
 _BLOCK = 64  # paths per block of the event search
@@ -438,14 +425,10 @@ def _euler_step(plan: _StepPlan, k: int, X: np.ndarray, rng, src, out, work) -> 
     np.multiply(x1, plan.lin_keep[1][k], out=new1)
     if plan.has_feed[1]:
         new1 += np.multiply(x0, plan.lin_feed[1][k], out=work.tmp)
-    if plan.has_diffusion[0]:
-        new0 += src.noise(plan.diff_coef[0][k], x0, rng, work)
-    if plan.has_diffusion[1]:
-        new1 += src.noise(plan.diff_coef[1][k], x1, rng, work)
-    if plan.gvar_dt[0][k] > 0:
-        new0 += src.noise(plan.gvar_dt[0][k], x0, rng, work)
-    if plan.gvar_dt[1][k] > 0:
-        new1 += src.noise(plan.gvar_dt[1][k], x1, rng, work)
+    if plan.noisy[0]:
+        new0 += src.noise(plan.var_dt[0][k], x0, rng, work)
+    if plan.noisy[1]:
+        new1 += src.noise(plan.var_dt[1][k], x1, rng, work)
     for ch in plan.channels:
         r = ch.rates_dt[k]
         if r != 0.0:
@@ -552,27 +535,36 @@ def _row_major_copy(X):
 
 
 class _FunctionalCollector:
-    """Pathwise accumulator of the closed-interval integral of X against zeta."""
+    """Pathwise accumulator of the closed-interval integral of X against zeta,
+    on a plan built with the same zeta (whose atoms are then mesh points)."""
+
+    def __init__(self, zeta):
+        self.zeta = zeta
 
     def begin(self, plan, X):
-        self.plan = plan
+        mesh, zeta = plan.mesh, self.zeta
+        # the weight densities on the mesh, one column per type
+        self.density = np.column_stack([
+            np.asarray(sm.density(mesh), dtype=float) + np.zeros(len(mesh))
+            for sm in zeta.per_type])
+        self.dense = np.any(self.density != 0.0, axis=1)
+        self.atoms = {plan.index_of[s]: v for s in zeta.atom_times
+                      if mesh[0] <= s <= mesh[-1] and np.any((v := zeta.atom_vector(s)) != 0)}
         self.A = np.zeros(X.shape[0])
         self.left = np.empty(X.shape[0])
         self.right = np.empty(X.shape[0])
-        start_atom = plan.zeta_atom.get(0) if plan.zeta is not None else None
-        if start_atom is not None:
-            self.A += X @ start_atom
+        if 0 in self.atoms:
+            self.A += X @ self.atoms[0]
 
     def after_step(self, k, X_prev, X_pre, X_post, dt):
-        plan = self.plan
-        if plan.zeta_dense[k - 1] or plan.zeta_dense[k]:
-            zd = plan.zeta_density
+        if self.dense[k - 1] or self.dense[k]:
+            zd = self.density
             # the mat-vec, not x0 * z0 + x1 * z1, which rounds differently
             left = np.matmul(X_prev, zd[k - 1], out=self.left)
             left += np.matmul(X_pre, zd[k], out=self.right)
             left *= 0.5 * dt
             self.A += left
-        atom = plan.zeta_atom.get(k)
+        atom = self.atoms.get(k)
         if atom is not None:
             self.A += X_post @ atom
 
@@ -693,8 +685,8 @@ def coupled_pair(env: EnvSpec, x0_low, x0_high, t: float, opts: SimOptions,
     Each copy is a path of the process.  Both read one Brownian sheet and one
     Poisson random measure of marks (s, z, u), and each keeps what lies below
     its own level: jump marks with u < X_p(s-), and the sheet over [0, X_i]
-    for the diffusion and, in ``gaussian`` mode, the small-jump term.
-    Without diffusion or Gaussian small jumps the initial order is kept
+    for the Gaussian term (diffusion and, in ``gaussian`` mode, small jumps).
+    Without such a term the initial order is kept
     exactly; otherwise the Euler step can cross the copies on a small
     fraction of steps, shrinking with the step.  Equal starts give identical
     paths.
@@ -712,14 +704,14 @@ def coupled_order_violations(env: EnvSpec, x0_low, x0_high, t: float, n_pairs: i
 
     Returns (violations, checks): the number of (pair, mesh point) events
     where the low path exceeds the high path in any coordinate, and the
-    number of comparisons made.  Power-tail small jumps are always dropped
-    (``small_jump_mode="drop"``), whatever ``opts`` says, so the thinning
-    coupling keeps the order exactly and the count is zero.
+    number of comparisons made.  With power-tail small jumps dropped
+    (``small_jump_mode="drop"``) the thinning coupling keeps the order
+    exactly and the count is zero; their Gaussian term can cross the copies.
     """
     if any(not env.c[i].is_zero for i in range(2)):
         raise ValueError("pathwise coupling check requires a diffusion-free environment")
     rng = noise.substream("coupled-batch")
-    plan = _StepPlan(env, 0.0, t, replace(opts, small_jump_mode="drop"))
+    plan = _StepPlan(env, 0.0, t, opts)
     order = _OrderCollector(n_pairs)
     _run(plan, _pair_start(x0_low, x0_high, n_pairs), rng, (order,), _Coupled(n_pairs))
     return order.violations, order.checks

@@ -202,8 +202,9 @@ def _comparison(sc, ctx):
         out.append(Skip("comparison-pathwise", "environment has diffusion"))
     elif sc.coupled_pairs:
         x_hi = sc.x0_high or tuple(np.asarray(sc.x0) + 1.0)
+        # dropped small jumps keep the thinning coupling ordered, so any violation is a fault
         viol, _ = coupled_order_violations(sc.env, sc.x0, x_hi, sc.t, sc.coupled_pairs,
-                                           sc.opts, ctx.noise)
+                                           replace(sc.opts, small_jump_mode="drop"), ctx.noise)
         out.append(CheckResult("comparison-pathwise", float(viol), 0.0, viol == 0))
     if sc.x0_high is not None and len(sc.lam_grid):
         stats, n_high = ctx.stats, max(sc.n_paths // 4, 2)

@@ -1,7 +1,8 @@
 """Input admission: one pair rule, one time-window rule, and model data free of NaN.
 
 Every check is stated positively (``x >= 0``, ``0 <= t <= horizon``), so NaN
-fails it like any other value out of range.  Each case below builds or
+fails it like any other value out of range.  Starts and points must also be
+finite; only a terminal lambda may be infinite.  Each case below builds or
 calls with one inadmissible input and must raise ``ValueError``; model data
 that constructs must fail ``validate``.
 """
@@ -24,7 +25,7 @@ from bibranch.simulate import (SimOptions, coupled_order_violations, coupled_pai
 
 from conftest import atoms_only, const, feller_env, make_env
 
-NAN = math.nan
+NAN, INF = math.nan, math.inf
 OPTS = SimOptions(step=0.05)
 ZETA = WeightMeasure((const(1.0), const(0.0)))
 
@@ -68,6 +69,13 @@ CASES = {
     "nan-x-laplace_transform": lambda: laplace_transform(feller_env(), (0.0, NAN), 0.0, 0.5,
                                                          (1.0, 1.0)),
     "nan-lambda": lambda: solve_backward(feller_env(), 0.5, (NAN, 1.0)),
+    # starts and points are finite
+    **{f"inf-x0-{k}": f for k, f in _mc(x0=(INF, 0.0), t=0.5).items()},
+    "inf-x0-first_moment": lambda: first_moment(feller_env(), (INF, 0.0), 0.5),
+    "inf-x0-moment_bound": lambda: moment_bound(feller_env(), (0.0, INF), 0.5),
+    "inf-x-extinction_prob": lambda: extinction_prob(feller_env(), (INF, 0.0), 0.5),
+    "inf-x-laplace_transform": lambda: laplace_transform(feller_env(), (0.0, INF), 0.0, 0.5,
+                                                         (1.0, 1.0)),
     "nan-step": lambda: SimOptions(step=NAN),
     "nan-small_jump_eps": lambda: SimOptions(small_jump_eps=NAN),
     # the time-window rule, Monte Carlo and analytic alike

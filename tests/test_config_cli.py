@@ -94,6 +94,37 @@ def test_truncated_environment_round_trips():
     assert redo.m[0].density_components[0][1] == capped.m[0].density_components[0][1]
 
 
+MEASURE_SPECS = [
+    {"kind": "dirac", "z": [0.5, 0.0], "weight": 2.0},
+    {"kind": "exp_product", "theta1": 3.0, "theta2": 2.0, "weight": 0.5},
+    {"kind": "stable_axis", "axis": 2, "alpha": 1.5, "weight": 0.15},
+    {"kind": "exp_product_capped", "theta1": 3.0, "theta2": 2.0, "cap": 1.0, "weight": 0.5},
+    {"kind": "stable_axis_capped", "axis": 1, "alpha": 1.2, "cap": 2.0, "weight": 0.3},
+]
+
+
+def _one_measure_config(spec):
+    axis = spec.get("axis", 1) - 1
+    types = [{}, {}]
+    types[axis] = {"m": {"density_components": [{"rate": {"kind": "constant", "v": 1.0},
+                                                 "measure": spec}]}}
+    return {"horizon": 1.0, "types": types}
+
+
+@pytest.mark.parametrize("spec", MEASURE_SPECS, ids=[s["kind"] for s in MEASURE_SPECS])
+def test_every_measure_kind_reads_and_writes_its_spec(spec, tmp_path, capsys):
+    env = cfgmod.env_from_config(_one_measure_config(spec))
+    kernel = cfgmod.env_to_config(env)["types"][spec.get("axis", 1) - 1]["m"]
+    assert kernel["density_components"][0]["measure"] == spec
+    # a missing parameter is a usage error
+    for key in spec.keys() - {"kind", "weight"}:
+        broken = _one_measure_config({k: v for k, v in spec.items() if k != key})
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(broken))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == f"bibranch: '{key}'\n"
+
+
 @pytest.fixture
 def cfg_file(tmp_path):
     p = tmp_path / "env.json"
@@ -345,6 +376,22 @@ def test_run_block_gives_the_same_output_as_flags(command, keys, extra, tmp_path
 def test_cli_extinction_rejects_negative_x0(capsys):
     assert main(["extinction", str(FELLER), "--x0=-1,0"]) == 1
     assert capsys.readouterr().err == "bibranch: x must be a nonnegative 2-vector\n"
+
+
+def test_cli_extinction_rejects_an_infinite_start(capsys):
+    assert main(["extinction", str(FELLER), "--x0", "inf,0"]) == 1
+    assert capsys.readouterr().err == "bibranch: x must be finite\n"
+
+
+@pytest.mark.parametrize("argv", [["moments"], ["verify", "--threads", "1", "--scenario"]],
+                         ids=["moments", "verify"])
+def test_run_block_that_is_not_an_object_is_a_usage_error(argv, tmp_path, capsys):
+    cfg = json.loads(FELLER.read_text())
+    cfg["run"] = [1, 2]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    assert main([*argv, str(p)]) == 1
+    assert capsys.readouterr().err == "bibranch: run must be an object, got [1, 2]\n"
 
 
 @pytest.mark.parametrize("argv, key, value", [

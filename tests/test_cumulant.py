@@ -231,7 +231,7 @@ def test_v_infinity_zero_env_diverges():
     limit, diag = v_infinity(make_env(), 1.0)
     assert diag["status"] == ("diverged", "diverged")
     assert np.all(np.isinf(limit))
-    assert diag["ladder"] == [] and diag["values"].size == 0
+    assert diag["ladder"] == [] and set(diag) == {"status", "ladder"}
 
 
 def test_v_infinity_feller_limit():
@@ -287,6 +287,36 @@ def test_extinction_prob_values():
     assert extinction_prob(feller_env(b, c), (2.0, 0.0), t) == pytest.approx(expected, rel=1e-9)
     # already-extinct start
     assert extinction_prob(feller_env(), (0.0, 0.0), 1.0) == 1.0
+
+
+def test_v_infinity_keeps_infinity_where_both_types_are_stuck():
+    # no noise and no jumps: the flow is deterministic, its state at t = 1 is
+    # (0.0803, 0.0125), and the bottlenecks never empty both types at once
+    env = make_env(b11=const(0.2) + atoms_only((0.3, 1.0)), b12=const(0.4),
+                   b21=const(0.3), b22=const(0.3) + atoms_only((0.6, 1.0)))
+    limit, diag = v_infinity(env, 1.0)
+    assert np.all(np.isinf(limit)) and diag["status"] == ("diverged", "diverged")
+    assert extinction_prob(env, (1.0, 1.0), 1.0) == 0.0
+
+
+def _two_power_tails(alpha1, alpha2):
+    tail = lambda axis, alpha: JumpKernel(((Density.constant(1.0), StableAxis(axis, alpha, 0.2)),))
+    return make_env(b11=const(-0.47), b12=const(0.3), b21=const(0.2), b22=const(0.1),
+                    m1=tail(0, alpha1), m2=tail(1, alpha2))
+
+
+def test_v_infinity_raises_only_solver_errors():
+    # a blow-up variable far past v = 0 once overflowed v^-beta
+    with pytest.raises(SolverError, match="nonconvergent-step"):
+        v_infinity(_two_power_tails(1.1, 1.5), 1.0)
+
+
+def test_v_infinity_of_two_power_tails_bounds_large_lambda():
+    env = _two_power_tails(1.4, 1.7)
+    limit, diag = v_infinity(env, 1.0)
+    assert diag["status"] == ("converged", "converged")
+    v_large = solve_backward(env, 1.0, (1e6, 1e6)).at(0.0)
+    assert np.all(v_large <= limit) and np.all(limit <= 1.1 * v_large)
 
 
 @pytest.mark.parametrize("x", [(-1.0, 0.0), (1.0,), (1.0, 0.0, 2.0)])

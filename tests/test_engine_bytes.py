@@ -6,11 +6,13 @@ atom update and the collectors, and the one-row form of a plan that draws no
 random number.  Any change to the inner loop that reorders a
 floating-point sum, switches a reduction to another memory layout or draws the
 random stream in another order changes a digest.  They hold for NumPy 2.x's
-PCG64 streams and float64 kernels on x86-64 at one SIMD level: with NumPy's
-AVX-512 kernels turned off, as on an AVX2-only host, the paths stay
-bit-identical but some reductions round differently, and the ``feller``
-digest moves.  The layout-dependent reductions are ``mean``/``var`` along the
-rows and the OpenBLAS mat-vec of the functional collector.
+PCG64 streams and float64 kernels on x86-64 at one SIMD level and one glibc
+variant.  With NumPy's AVX-512 kernels turned off, as on an AVX2-only host,
+``np.exp`` and ``**`` round differently: the Laplace weights
+``exp(-X @ lambdas.T)`` move the ``feller`` digest, and the power-tail marks
+``rng.random(n) ** (-1/alpha)`` move the ``stable-gaussian`` paths (whose
+pinned statistics happen to round the same).  The reductions (``mean``/``var``
+along the rows, the mat-vec of the functional collector) do not move.
 """
 
 import hashlib

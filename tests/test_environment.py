@@ -11,7 +11,8 @@ from bibranch.environment import (
     validate,
 )
 from bibranch.functionals import WeightMeasure
-from bibranch.measures import Dirac, ExpProduct, StableAxis, UncompensatedStableError
+from bibranch.measures import (CappedStableAxis, Dirac, ExpProduct, StableAxis,
+                               UncompensatedStableError)
 
 from conftest import atoms_only, const, make_env, random_env
 
@@ -47,6 +48,13 @@ def test_uncompensated_stable_rejected_by_validate():
     report = validate(env)
     assert not report.passed
     assert any(v.constraint == "uncompensated-stable" for v in report.violations)
+
+
+@pytest.mark.parametrize("meas", [StableAxis(1, 1.5, 1.0), CappedStableAxis(1, 1.5, 2.0, 1.0)],
+                         ids=["stable", "capped-stable"])
+def test_power_tail_on_the_wrong_axis_is_one_violation(meas):
+    report = validate(make_env(m1=JumpKernel(((Density.constant(1.0), meas),))))
+    assert [v.constraint for v in report.violations] == ["uncompensated-stable"]
 
 
 def test_stable_atom_infinite_mass_rejected():

@@ -15,13 +15,17 @@ from bibranch import simulate
 from bibranch.simulate import (
     SimOptions,
     SimulationError,
+    _INDEPENDENT,
     _Coupled,
     _SnapshotCollector,
     _StepPlan,
+    _Work,
     _block_search,
     _event_paths,
+    _euler_step,
     _pair_start,
     _run,
+    _tile,
     coupled_order_violations,
     coupled_pair,
     extinction_frequency,
@@ -317,6 +321,52 @@ def test_gaussian_small_jump_mode_runs():
                               NoiseStream(29))
     assert np.all(stats.mean >= 0.0)
     assert 0.0 < stats.laplace[-1, 0] < 1.0
+
+
+class _CountingNormals:
+    """A generator that records the size of every standard_normal draw."""
+
+    def __init__(self, rng):
+        self.rng, self.normal_sizes = rng, []
+
+    def standard_normal(self, *args, out=None):
+        z = self.rng.standard_normal(*args, out=out)
+        self.normal_sizes.append(z.size)
+        return z
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_diffusion_and_gaussian_small_jumps_are_one_normal_per_step():
+    c, tail = 0.5, StableAxis(0, 1.5, 0.15)
+    env = make_env(c1=const(c), m1=JumpKernel(((Density.constant(0.5), tail),)))
+    h, n, x = 1e-2, 200_000, 1.0
+    opts = SimOptions(step=h, small_jump_mode="gaussian")
+    plan = _StepPlan(env, 0.0, 1.0, opts)
+    assert plan.noisy == (True, False)
+    X, work = _tile((x, 0.0), n), _Work(n)
+    rng = _CountingNormals(NoiseStream(81).substream("s"))
+    out = _euler_step(plan, 0, X, rng, _INDEPENDENT, work.free(X), work)
+    assert rng.normal_sizes == [n]
+    # without the tail's large jumps the step is the drift plus the one normal
+    plan.channels = []
+    out = _euler_step(plan, 0, X, rng, _INDEPENDENT, work.free(X), work)
+    var = (2.0 * c + 0.5 * tail.small_var(opts.small_jump_eps)) * x * h
+    increment = out[:, 0] - x * plan.lin_keep[0][0]
+    assert abs(increment.var(ddof=1) - var) < 5 * var * math.sqrt(2.0 / n)
+
+
+def test_coupled_batch_runs_the_small_jump_mode_it_is_given():
+    # dropped small jumps keep the thinning coupling ordered; their Gaussian
+    # term is a diffusion and can cross the copies
+    env = make_env(b11=const(0.5),
+                   m1=JumpKernel(((Density.constant(0.5), StableAxis(0, 1.5, 0.15)),)))
+    counts = {mode: coupled_order_violations(env, (1.0, 0.0), (1.01, 0.0), 1.0, 200,
+                                             SimOptions(step=1e-2, small_jump_mode=mode),
+                                             NoiseStream(83))[0]
+              for mode in ("drop", "gaussian")}
+    assert counts["drop"] == 0 and counts["gaussian"] > 0
 
 
 def test_event_paths_zero_state_gets_no_events():
