@@ -79,7 +79,7 @@ def mc_functional(env: EnvSpec, x0, zeta: WeightMeasure, r: float, t: float,
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths for a standard error")
-    rng = noise.substream("ensemble")
+    rng = noise.substream("functional")
     plan = _StepPlan(env, r, t, opts, zeta=zeta)
     coll = _FunctionalCollector(zeta)
     _run(plan, _tile(x0, n_paths), rng, (coll,))

@@ -84,7 +84,9 @@ class Dirac:
         return -self.weight * math.expm1(-dot)
 
     def sample(self, rng, n: int) -> np.ndarray:
-        return np.tile(self.z, (n, 1))
+        out = np.empty((n, 2))
+        out[:] = self.z
+        return out
 
     def excess(self, i: int, cap: float) -> float:
         return self.weight * max(self.z[i] - cap, 0.0)

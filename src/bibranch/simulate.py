@@ -15,12 +15,13 @@ Finite-activity components give path i Poisson(X_p,i * rate * mass * h)
 events with marks from the normalized spatial measure, drawn by superposition:
 one Poisson total per channel and step, each event assigned to a path in
 proportion to its rate, so the per-path counts are exactly independent.  The
-paths are cut into contiguous blocks; the block sums give the total, and an
-event is placed by finding its block among their cumulative sums and then its
-path among the prefix sums of that block only, so a step with few events
-costs O(n / block + events * block).  A step with many events, and a run of
-few paths, searches one cumsum of all paths instead.  A step without events
-draws nothing after its total.
+total's mass is one sum of the state, and a search is built only once an
+event falls.  With few events among many paths, the paths are cut into
+contiguous blocks, and an event is placed by finding its block among the
+blocks' cumulative sums and then its path among the prefix sums of that block
+only, at O(n / block + events * block); otherwise it is placed by one cumsum
+of all paths.  A step without events draws nothing after its total and builds
+no search.
 Power-tail components are split at a threshold eps: exact thinning above, and
 below either the compensated remainder is dropped or replaced by a
 variance-matched Gaussian, s2_i(s) X_i h per step; it and the white noise are
@@ -43,8 +44,8 @@ vectors (products and normals) and rotates through them: a step writes its
 result into a buffer other than the one holding its input, an atom update
 into the third, and the caller's start array is only read.  Drift, noise and
 clamp of independent paths thus allocate nothing of length n; a jump channel
-does only on a step with many events (its cumsum of all paths), and so does
-the coupled source when it joins its two sheet normals (drawn into the
+does only on a step whose events it places by a cumsum of all paths, and so
+does the coupled source when it joins its two sheet normals (drawn into the
 scratch) per copy.  Terms that are zero on the whole mesh (a cross feed) or
 on a whole interval (a weight density) are dropped when the plan is compiled.
 Adding an exact zero can only turn -0.0 into +0.0, and no state holds -0.0
@@ -61,7 +62,11 @@ noise-and-mark source differs.  Both copies read one Brownian sheet over
 keeps what lies below its own level (Dawson & Li 2012): events fall at rate
 r * max(x_low, x_high) and a copy keeps a mark iff u < its X_p(s-), which is
 exact thinning; the sheet over [0, x] is a normal at the lower level, shared,
-plus an independent normal over the gap for the higher copy.
+plus an independent normal over the gap for the higher copy.  The gap
+X_high - X_low is then itself a branching process, absorbed at 0; the Euler
+step can overshoot it below 0, so in every column that the state clamp
+covers, the step ends by raising the high copy to the low one (the gap
+clamp), and the copies stay ordered and coalesce where the gap dies.
 """
 
 from __future__ import annotations
@@ -254,32 +259,29 @@ def _event_paths(rng, r: float, x: np.ndarray, guard: float = math.inf) -> np.nd
     independent Poisson.  Raises SimulationError when some r * x[i] exceeds
     guard.
 
-    From _FEW_PATHS paths on, the mass is the last of the block edges, and a
-    step with few events searches only the blocks they fall in, at
-    O(n / _BLOCK + events * _BLOCK) instead of the O(n) of one cumsum.
+    The mass is one reduction of x, and the search is built only once an
+    event falls: from _FEW_PATHS paths on, a step with few events searches
+    only the blocks they fall in, at O(n / _BLOCK + events * _BLOCK) instead
+    of the O(n) of one cumsum of all paths, which every other step searches.
     """
-    n = x.size
-    few = n < _FEW_PATHS
-    sums = np.cumsum(x) if few else _block_edges(x)
-    mass = sums[-1] if sums.size else 0.0
+    mass = float(x.sum())
     # x >= 0 makes any sum of it >= max(x) after rounding, so the sum screens the max
     if mass * r > guard and x.max() * r > guard:
         raise SimulationError(
             "step-overflow: expected jump count per step exceeds guard; reduce step"
         )
-    if mass == 0.0:
-        return np.empty(0, dtype=np.intp)
-    k = rng.poisson(r * mass)
+    k = rng.poisson(r * mass) if mass > 0.0 else 0
     if k == 0:
         return np.empty(0, dtype=np.intp)
     # sorted keys make the lookups walk the boundaries in order; marks are
     # iid, so the order in which events are listed does not change the law
     u = np.sort(rng.random(k)) * mass
-    if not few and k * _DENSE <= sums.size - 1:
-        return _block_search(x, sums, u)
-    cum = sums if few else np.cumsum(x)
+    n = x.size
+    if n >= _FEW_PATHS and k * _DENSE <= -(-n // _BLOCK):
+        return _block_search(x, _block_edges(x), u)
+    cum = np.cumsum(x)
     idx = np.searchsorted(cum, u, side="right")
-    # U * mass can round up to the mass: keep it on the last positive path
+    # a key at or past the last boundary (rounding) goes to the last positive path
     return np.minimum(idx, np.searchsorted(cum, cum[-1], side="left"), out=idx)
 
 
@@ -300,7 +302,7 @@ def _block_search(x: np.ndarray, edges: np.ndarray, u: np.ndarray) -> np.ndarray
     n, full = x.size, x.size // _BLOCK
     blk = np.searchsorted(edges[1:], u, side="right")
     if blk[-1] == edges.size - 1:
-        # U * mass rounded up to the mass: the last block of positive sum
+        # a key at or past the last edge (rounding): the last block of positive sum
         np.minimum(blk, np.searchsorted(edges[1:], edges[-1], side="left"), out=blk)
     # one row per key: the paths of its block, a tail block padded with zeros
     if blk[-1] < full:
@@ -368,22 +370,26 @@ class _Independent:
         if idx.size:
             _add_marks(idx, sample(rng, idx.size), out0, out1)
 
+    @staticmethod
+    def clamp(col):
+        np.maximum(col, 0.0, out=col)
+
 
 class _Coupled:
     """Rows [0, h) and [h, 2h) are the low and high copies of h pairs that
-    share one Brownian sheet and one random measure of marks (module docstring)."""
+    share one Brownian sheet and one random measure of marks (module docstring).
+    The copies stay ordered, low <= high in every column, from step to step."""
 
     def __init__(self, h: int):
         self.h = h
 
     def noise(self, coef: float, x, rng, work):
         h = self.h
-        a, b = x[:h], x[h:]
-        gap = a - b
+        low, high = x[:h], x[h:]
         # the shared normal fills the first half of the scratch, the gap's the second
-        g = _noise_term(coef, np.minimum(a, b), rng, work.tmp[:h], work.normals[:h])
-        e = _noise_term(coef, np.abs(gap), rng, work.tmp[h:], work.normals[h:])
-        return np.concatenate([g + e * (gap > 0), g + e * (gap < 0)])
+        g = _noise_term(coef, low, rng, work.tmp[:h], work.normals[:h])
+        e = _noise_term(coef, high - low, rng, work.tmp[h:], work.normals[h:])
+        return np.concatenate([g, g + e])
 
     def jumps(self, rng, r: float, x, sample, guard: float, out0, out1):
         h = self.h
@@ -399,6 +405,14 @@ class _Coupled:
             if rows.size:
                 _add_marks(rows, np.concatenate([Z[low], Z[high]]), out0, out1)
 
+    def clamp(self, col):
+        """The state clamp, then the gap clamp: the gap high - low is itself a
+        branching process, absorbed at 0, so a step that crosses the copies
+        (only the Euler error can) coalesces them instead."""
+        np.maximum(col, 0.0, out=col)
+        high = col[self.h:]
+        np.maximum(high, col[:self.h], out=high)
+
 
 _INDEPENDENT = _Independent()
 
@@ -412,8 +426,11 @@ class _Work:
         self.tmp = np.empty(n)
         self.normals = np.empty(n)
 
-    def free(self, *busy) -> np.ndarray:
-        return next(b for b in self.states if all(b is not x for x in busy))
+    def free(self, a, b=None) -> np.ndarray:
+        """A state buffer that is neither a nor b."""
+        for s in self.states:
+            if s is not a and s is not b:
+                return s
 
 
 def _euler_step(plan: _StepPlan, k: int, X: np.ndarray, rng, src, out, work) -> np.ndarray:
@@ -434,9 +451,9 @@ def _euler_step(plan: _StepPlan, k: int, X: np.ndarray, rng, src, out, work) -> 
         if r != 0.0:
             src.jumps(rng, r, X[:, ch.p], ch.sample, _JUMP_COUNT_GUARD, new0, new1)
     if plan.clamp[0]:
-        np.maximum(new0, 0.0, out=new0)
+        src.clamp(new0)
     if plan.clamp[1]:
-        np.maximum(new1, 0.0, out=new1)
+        src.clamp(new1)
     return out
 
 
@@ -686,10 +703,11 @@ def coupled_pair(env: EnvSpec, x0_low, x0_high, t: float, opts: SimOptions,
     Poisson random measure of marks (s, z, u), and each keeps what lies below
     its own level: jump marks with u < X_p(s-), and the sheet over [0, X_i]
     for the Gaussian term (diffusion and, in ``gaussian`` mode, small jumps).
-    Without such a term the initial order is kept
-    exactly; otherwise the Euler step can cross the copies on a small
-    fraction of steps, shrinking with the step.  Equal starts give identical
-    paths.
+    The copies stay ordered at every mesh point: thinning keeps the order
+    exactly, and where the Gaussian term (or a negative Euler coefficient)
+    could cross them, the gap clamp raises the high copy to the low one, so
+    the copies coalesce where their gap, a branching process absorbed at 0,
+    dies.  Equal starts give identical paths.
     """
     rng = noise.substream("coupled", pair_id)
     coll = _TrajectoryCollector()
@@ -704,9 +722,10 @@ def coupled_order_violations(env: EnvSpec, x0_low, x0_high, t: float, n_pairs: i
 
     Returns (violations, checks): the number of (pair, mesh point) events
     where the low path exceeds the high path in any coordinate, and the
-    number of comparisons made.  With power-tail small jumps dropped
-    (``small_jump_mode="drop"``) the thinning coupling keeps the order
-    exactly and the count is zero; their Gaussian term can cross the copies.
+    number of comparisons made.  The thinning coupling keeps the order
+    exactly, so in the columns that the gap clamp leaves alone (no Gaussian
+    small-jump term and no negative Euler coefficient) a violation is a fault
+    of the coupling; in the others the clamp keeps the count at zero.
     """
     if any(not env.c[i].is_zero for i in range(2)):
         raise ValueError("pathwise coupling check requires a diffusion-free environment")

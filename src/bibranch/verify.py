@@ -8,9 +8,13 @@ distributional comparison, truncation monotonicity, extinction, and
 weighted-functional identities.  A gate returns its ``CheckResult``s, plus a
 ``Skip`` with a reason for each check its scenario configures but that cannot
 run.  The gates share one lazily built ensemble, whose time is in the
-scenario's runtime and in no ``CheckResult.runtime``.  Statistical failure is
-a red verdict, never an exception; gates compare |estimate - exact| against
-sigma * SE, or against an O(step) bias floor where the sample SE is degenerate.
+scenario's runtime and in no ``CheckResult.runtime``.  Every Monte Carlo
+estimate of a scenario (that ensemble, the coupled batch, the ``x0_high``
+ensemble, the coarse extinction run and the functional estimate) reads its own
+substream of the scenario's seed, so no two estimates share a random number.
+Statistical failure is a red verdict, never an exception; gates compare
+|estimate - exact| against sigma * SE, or against an O(step) bias floor where
+the sample SE is degenerate.
 The JSON report excludes runtimes and skips, so identical seeds yield
 byte-identical reports at any thread count.
 """
@@ -209,7 +213,7 @@ def _comparison(sc, ctx):
     if sc.x0_high is not None and len(sc.lam_grid):
         stats, n_high = ctx.stats, max(sc.n_paths // 4, 2)
         high = simulate_ensemble(sc.env, sc.x0_high, sc.t, (sc.t,), sc.lam_grid, n_high,
-                                 sc.opts, NoiseStream(sc.seed + 1))
+                                 sc.opts, ctx.noise.child("x0-high"))
         worst = -math.inf
         for l in range(len(stats.lambdas)):
             pooled = math.hypot(stats.laplace_se[-1, l], high.laplace_se[-1, l])
@@ -246,7 +250,7 @@ def _extinction(sc, ctx):
     if sc.extinction_coarse_step is not None:
         pc, _ = extinction_frequency(sc.env, sc.x0, sc.t, sc.n_paths,
                                      replace(sc.opts, step=sc.extinction_coarse_step),
-                                     NoiseStream(sc.seed + 2))
+                                     ctx.noise.child("extinction-coarse"))
         bias_fine = abs(freq - p_pred)
         bias_coarse = abs(pc - p_pred)
         out.append(CheckResult("extinction-bias-monotone",

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bibranch.cumulant import solve_backward
+from bibranch.cumulant import extinction_prob, solve_backward
 from bibranch.densities import Density
 from bibranch.environment import JumpKernel, validate
 from bibranch.measures import Dirac, ExpProduct, StableAxis
@@ -17,6 +17,7 @@ from bibranch.simulate import (
     SimulationError,
     _INDEPENDENT,
     _Coupled,
+    _OrderCollector,
     _SnapshotCollector,
     _StepPlan,
     _Work,
@@ -283,24 +284,27 @@ def test_coupled_batch_requires_diffusion_free():
                                  SimOptions(), NoiseStream(1))
 
 
-def test_coupled_diffusive_violations_shrink_with_step():
-    # Empirical convergence study for the Brownian-sheet diffusion coupling:
-    # the order-violation rate is controlled by the time step; at step 5e-4
-    # it is below 2% of mesh points for this pair.
+def test_coupled_diffusive_pair_stays_ordered_and_coalesces():
+    # The gap X_high - X_low of the Brownian-sheet coupling is itself a
+    # branching process with the same mechanism (Dawson & Li 2012): absorbed
+    # at 0, so dead at time 1 with the extinction probability from a start of
+    # 1, exp(-1 / (0.5 (e - 1))) = 0.312 here.  An Euler gap reflected at 0
+    # instead crosses the copies on about 4 % of mesh points at any step size.
     env = feller_env(1.0, 0.5)
-    rates = []
-    for h, n_pairs in ((1e-2, 120), (5e-4, 30)):
-        viol = 0
-        steps = 0
-        for pid in range(n_pairs):
-            lo, hi = coupled_pair(env, (1.0, 0.0), (2.0, 0.0), 1.0,
-                                  SimOptions(step=h), NoiseStream(23),
-                                  pair_id=pid)
-            viol += int(np.sum((lo.states > hi.states).any(axis=1)))
-            steps += len(lo.times)
-        rates.append(viol / steps)
-    assert rates[1] <= rates[0]
-    assert rates[1] < 0.02
+    for pid in range(3):
+        lo, hi = coupled_pair(env, (1.0, 0.0), (2.0, 0.0), 1.0, SimOptions(step=5e-4),
+                              NoiseStream(23), pair_id=pid)
+        assert np.all(lo.states <= hi.states)
+    exact, h = extinction_prob(env, (1.0, 0.0), 1.0), 4000
+    for step in (1e-2, 2e-3):
+        order, snap = _OrderCollector(h), _SnapshotCollector((1.0,))
+        _run(_StepPlan(env, 0.0, 1.0, SimOptions(step=step)),
+             _pair_start((1.0, 0.0), (2.0, 0.0), h),
+             NoiseStream(23).substream("coupled-batch"), (order, snap), _Coupled(h))
+        assert order.violations == 0
+        X = snap.snaps[1.0]
+        coalesced = float(np.mean(X[h:, 0] == X[:h, 0]))
+        assert abs(coalesced - exact) < 4 * math.sqrt(exact * (1.0 - exact) / h)
 
 
 def test_extinction_frequency_trivials():
@@ -357,16 +361,22 @@ def test_diffusion_and_gaussian_small_jumps_are_one_normal_per_step():
     assert abs(increment.var(ddof=1) - var) < 5 * var * math.sqrt(2.0 / n)
 
 
-def test_coupled_batch_runs_the_small_jump_mode_it_is_given():
-    # dropped small jumps keep the thinning coupling ordered; their Gaussian
-    # term is a diffusion and can cross the copies
+def test_coupled_batch_runs_the_small_jump_mode_it_is_given(monkeypatch):
+    # the Gaussian small-jump term reads the shared sheet once per step, and
+    # dropped small jumps draw no normal; either way the copies stay ordered
     env = make_env(b11=const(0.5),
                    m1=JumpKernel(((Density.constant(0.5), StableAxis(0, 1.5, 0.15)),)))
-    counts = {mode: coupled_order_violations(env, (1.0, 0.0), (1.01, 0.0), 1.0, 200,
-                                             SimOptions(step=1e-2, small_jump_mode=mode),
-                                             NoiseStream(83))[0]
-              for mode in ("drop", "gaussian")}
-    assert counts["drop"] == 0 and counts["gaussian"] > 0
+    sheet_draws, noise = [], _Coupled.noise
+    monkeypatch.setattr(_Coupled, "noise",
+                        lambda self, *a: sheet_draws.append(1) or noise(self, *a))
+    seen = {}
+    for mode in ("drop", "gaussian"):
+        sheet_draws.clear()
+        viol, _ = coupled_order_violations(env, (1.0, 0.0), (1.01, 0.0), 1.0, 200,
+                                           SimOptions(step=1e-2, small_jump_mode=mode),
+                                           NoiseStream(83))
+        seen[mode] = (viol, len(sheet_draws))
+    assert seen == {"drop": (0, 0), "gaussian": (0, 100)}
 
 
 def test_event_paths_zero_state_gets_no_events():
@@ -378,6 +388,21 @@ def test_event_paths_zero_state_gets_no_events():
     assert set(np.unique(idx).tolist()) == {1, 3}
     assert _event_paths(rng, 50.0, np.zeros(4)).size == 0
     assert _event_paths(rng, 50.0, np.zeros(0)).size == 0
+
+
+class _NoEventRng:
+    def poisson(self, lam):
+        return 0
+
+
+@pytest.mark.parametrize("n", [100, 8192])
+def test_event_paths_without_events_builds_no_search(n, monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("a search was built for a step without events")
+
+    monkeypatch.setattr(simulate, "_block_edges", built)
+    monkeypatch.setattr(np, "cumsum", built)
+    assert _event_paths(_NoEventRng(), 1e-3, np.full(n, 0.5)).size == 0
 
 
 def test_zero_mass_atom_time_is_a_plain_mesh_point():
@@ -508,6 +533,32 @@ def test_event_paths_counts_are_independent_poisson_across_blocks(form, monkeypa
     assert np.all(np.abs(c.mean(axis=0) - lam) < 4 * np.sqrt(lam / reps))
     se_var = np.sqrt((lam + 2 * lam ** 2) / reps)
     assert np.all(np.abs(c.var(axis=0, ddof=1) - lam) < 4 * se_var)
+
+
+@pytest.mark.parametrize("total, form", [(2.0, "block"), (400.0, "cumsum")])
+def test_event_paths_counts_are_poisson_on_many_paths(total, form, monkeypatch):
+    # n = 8192 paths in 128 blocks: about 2 events per step take the block
+    # search, about 400 the cumsum of all paths
+    n, reps = 8192, {"block": 10_000, "cumsum": 100}[form]
+    x = _patchy_state(n, seed=53)
+    r = total / x.sum()
+    searched, block_search = [], simulate._block_search
+    monkeypatch.setattr(simulate, "_block_search",
+                        lambda *a: searched.append(1) or block_search(*a))
+    rng, counts, fired = np.random.default_rng(59), np.zeros(n), 0
+    for _ in range(reps):
+        idx = _event_paths(rng, r, x)
+        fired += idx.size > 0
+        counts += np.bincount(idx, minlength=n)
+    assert len(searched) == (fired if form == "block" else 0)
+    live = x > 0
+    assert not counts[~live].any()
+    # path i's count over the reps is Poisson(reps * r * x_i): its chi-square
+    # term has mean 1 and variance 2 + 1 / lam
+    lam = reps * r * x[live]
+    chi2 = float(np.sum((counts[live] - lam) ** 2 / lam))
+    assert abs(chi2 - lam.size) < 5 * math.sqrt(np.sum(2.0 + 1.0 / lam))
+    assert abs(counts.sum() - reps * total) < 5 * math.sqrt(reps * total)
 
 
 def _multi_block(n, values):

@@ -13,7 +13,8 @@ from bibranch.verify import (
     suite,
 )
 from bibranch.environment import validate
-from bibranch.simulate import SimOptions
+from bibranch.noise import NoiseStream
+from bibranch.simulate import SimOptions, _StepPlan
 
 from conftest import atoms_only, const, make_env
 
@@ -136,3 +137,42 @@ def test_ensemble_is_built_only_when_a_gate_reads_it(monkeypatch):
     rep = run_scenario(sc)
     assert [c.name for c in rep.checks] == ["validation", "comparison-pathwise"]
     assert calls == []
+
+
+def test_every_estimate_of_the_suite_reads_its_own_stream(monkeypatch):
+    # the stream of a substream is its seed and spawn key; sizes and steps do
+    # not change which streams a scenario opens, so a small run shows them all
+    keys, substream = [], NoiseStream.substream
+
+    def recording(self, *args):
+        rng = substream(self, *args)
+        seq = rng.bit_generator.seed_seq
+        keys.append((seq.entropy, seq.spawn_key))
+        return rng
+
+    monkeypatch.setattr(NoiseStream, "substream", recording)
+    scenarios = suite()
+    # a scenario config with a weight measure and the default checks runs the
+    # functional estimate beside the ensemble
+    scenarios.append(dataclasses.replace(
+        next(s for s in scenarios if s.name == "functional-atoms"),
+        name="functional-atoms-all-gates", seed=max(s.seed for s in scenarios) + 1,
+        checks=("validation", *verify.GATES)))
+    for sc in scenarios:
+        run_scenario(dataclasses.replace(
+            sc, n_paths=200, coupled_pairs=min(sc.coupled_pairs, 20),
+            opts=dataclasses.replace(sc.opts, step=max(sc.opts.step, 1e-2))))
+    # the ensemble and functional estimate of the added scenario, a coupled
+    # batch per scenario with pairs, an x0_high ensemble and a coarse run
+    assert len(keys) == len(set(keys)) >= 2 * len(scenarios)
+
+
+def test_the_suites_pathwise_comparisons_clamp_no_column():
+    # the gap clamp keeps a clamped column ordered, which would hide a fault
+    # of the thinning coupling from the comparison-pathwise gate; in drop mode
+    # no column of the suite's diffusion-free environments is clamped
+    compared = [sc for sc in suite() if sc.coupled_pairs and all(c.is_zero for c in sc.env.c)]
+    assert len(compared) == 7
+    for sc in compared:
+        plan = _StepPlan(sc.env, 0.0, sc.t, dataclasses.replace(sc.opts, small_jump_mode="drop"))
+        assert plan.clamp == (False, False), sc.name
