@@ -262,24 +262,12 @@ def _scenario_from_config(cfg) -> Scenario:
     )
 
 
-def _verify_threads(args) -> int:
-    """--threads, else a nonzero BIBRANCH_THREADS, else the CPU count."""
-    if args.threads is not None:
-        return args.threads
-    text = os.environ.get("BIBRANCH_THREADS") or "0"
-    try:
-        return int(text) or os.cpu_count() or 1
-    except ValueError:
-        raise ValueError(f"BIBRANCH_THREADS must be an integer, got {text!r}") from None
-
-
 def cmd_verify(args):
-    threads = _verify_threads(args)
     if args.scenario is not None:
         scenarios = [_scenario_from_config(cfgmod.load_config(args.scenario))]
     else:
         scenarios = suite()
-    reports = run_suite(scenarios, threads=threads)
+    reports = run_suite(scenarios, threads=args.threads)
     _write_text(args.out, reports_to_json(reports))
     for r in reports:
         status = "pass" if r.passed else "FAIL"
@@ -327,9 +315,8 @@ def build_parser() -> _Parser:
     which.add_argument("--suite", action="store_true", help="run the built-in suite")
     which.add_argument("--scenario", help="run one scenario config (JSON)")
     v.add_argument("--out", help="JSON report path (default stdout)")
-    v.add_argument("--threads", type=int,
-                   help="scenario worker threads (overrides env BIBRANCH_THREADS, "
-                        "which sets the default; otherwise the CPU count)")
+    v.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="scenario worker threads (default: the CPU count)")
     v.set_defaults(func=cmd_verify)
 
     return p

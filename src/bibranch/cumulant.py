@@ -331,12 +331,9 @@ class _Dense:
     def __init__(self, t: float, y: tuple):
         self.ts, self.ys, self.ks, self.to_v = [t], [y], [], None
 
-    def __call__(self, r):
-        """The value at r, shape (2,), or at each of an array of times, shape (2, n)."""
-        if np.ndim(r):
-            y = np.array([self._interpolate(float(x)) for x in np.ravel(r)]).T.reshape(2, -1)
-        else:
-            y = np.array(self._interpolate(float(r)))
+    def __call__(self, r: float) -> np.ndarray:
+        """The value at r, shape (2,)."""
+        y = np.array(self._interpolate(float(r)))
         return y if self.to_v is None else self.to_v(y)
 
     def _interpolate(self, r: float):
@@ -602,8 +599,6 @@ def _integrate_backward(env, t, lam, zeta=None, r_end=0.0):
         v = apply_atom(t, v)
 
     for hi, lo in zip(reversed(hard[1:]), reversed(hard[:-1])):
-        if hi == lo:
-            continue
         v1, v2 = v
         if v1 == 0.0 and v2 == 0.0 and zeta is None:
             # absorbing terminal state of the backward flow

@@ -30,16 +30,28 @@ __all__ = [
     "bar_b",
     "atom_info",
     "nonnegative_pair",
+    "nonnegative_pairs",
 ]
 
 
+def nonnegative_pairs(v, name: str, inf_ok: bool = False) -> np.ndarray:
+    """v as a float (k, 2) array, (0, 2) when empty, of nonnegative pairs."""
+    v = np.asarray(v, dtype=float) if len(v) else np.empty((0, 2))
+    return _pair_rule(v, v.ndim == 2 and v.shape[1] == 2, "(k, 2) array", name, inf_ok)
+
+
 def nonnegative_pair(v, name: str, inf_ok: bool = False) -> np.ndarray:
-    """v as a float 2-vector with both entries >= 0 (NaN fails) and finite;
-    ``inf_ok`` admits inf, as a terminal lambda may be."""
+    """v as a float 2-vector, the one-row case of :func:`nonnegative_pairs`."""
     v = np.asarray(v, dtype=float)
-    if not (v.shape == (2,) and v[0] >= 0.0 and v[1] >= 0.0):
-        raise ValueError(f"{name} must be a nonnegative 2-vector")
-    if not (inf_ok or (v[0] < math.inf and v[1] < math.inf)):
+    return _pair_rule(v, v.shape == (2,), "2-vector", name, inf_ok)
+
+
+def _pair_rule(v: np.ndarray, shaped: bool, form: str, name: str, inf_ok: bool) -> np.ndarray:
+    """The one pair rule: every entry >= 0 (NaN fails) and finite; ``inf_ok``
+    admits inf, as a terminal lambda may be."""
+    if not (shaped and (v >= 0.0).all()):
+        raise ValueError(f"{name} must be a nonnegative {form}")
+    if not (inf_ok or (v < math.inf).all()):
         raise ValueError(f"{name} must be finite")
     return v
 

@@ -71,13 +71,15 @@ clamp), and the copies stay ordered and coalesce where the gap dies.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .densities import Density, SignedMeasure1D
-from .environment import AtomInfo, EnvSpec, JumpKernel, atom_info, nonnegative_pair, validate
+from .environment import (AtomInfo, EnvSpec, JumpKernel, atom_info, nonnegative_pair,
+                          nonnegative_pairs, validate)
 from .noise import NoiseStream
 
 __all__ = [
@@ -167,7 +169,8 @@ class _Channel:
 # the largest mesh a plan builds: its per-interval arrays (about a dozen float
 # vectors) and its mesh-point index take about 250 MB at this size
 _MAX_MESH_STEPS = 10 ** 6
-# a step whose expected jump count on some path exceeds this is a step-overflow
+# a step or an atom whose expected jump count on some path exceeds this is a
+# step-overflow
 _JUMP_COUNT_GUARD = 1e6
 
 
@@ -208,16 +211,14 @@ class _StepPlan:
                         eps = min(eps, 0.5 * cap)
                     self.channels.append(_Channel(
                         p, rate_vals * meas.tail_mass(eps) * self.dts,
-                        (lambda m, e: (lambda rng, n: m.tail_sample(rng, n, e)))(meas, eps),
+                        functools.partial(meas.tail_sample, eps=eps),
                     ))
                     comp[p] += rate_vals * meas.tail_mean(eps)
                     if opts.small_jump_mode == "gaussian":
                         gvar[p] += rate_vals * meas.small_var(eps)
                 else:
-                    self.channels.append(_Channel(
-                        p, rate_vals * meas.mass() * self.dts,
-                        (lambda m: (lambda rng, n: m.sample(rng, n)))(meas),
-                    ))
+                    self.channels.append(_Channel(p, rate_vals * meas.mass() * self.dts,
+                                                  meas.sample))
                     comp[p] += rate_vals * meas.mean(p)
 
         # fused per-interval coefficients for the euler step
@@ -251,13 +252,13 @@ _DENSE = 8
 _FEW_PATHS = 4096
 
 
-def _event_paths(rng, r: float, x: np.ndarray, guard: float = math.inf) -> np.ndarray:
+def _event_paths(rng, r: float, x: np.ndarray) -> np.ndarray:
     """Path index of every event when path i has Poisson(r * x[i]) events.
 
     Superposition: one Poisson(r * sum(x)) total, each event assigned to path
     i with probability x[i] / sum(x), so the per-path counts are exactly
     independent Poisson.  Raises SimulationError when some r * x[i] exceeds
-    guard.
+    _JUMP_COUNT_GUARD, read at call time, on an Euler step and at an atom alike.
 
     The mass is one reduction of x, and the search is built only once an
     event falls: from _FEW_PATHS paths on, a step with few events searches
@@ -266,10 +267,9 @@ def _event_paths(rng, r: float, x: np.ndarray, guard: float = math.inf) -> np.nd
     """
     mass = float(x.sum())
     # x >= 0 makes any sum of it >= max(x) after rounding, so the sum screens the max
-    if mass * r > guard and x.max() * r > guard:
-        raise SimulationError(
-            "step-overflow: expected jump count per step exceeds guard; reduce step"
-        )
+    if mass * r > _JUMP_COUNT_GUARD and x.max() * r > _JUMP_COUNT_GUARD:
+        raise SimulationError(f"step-overflow: expected jump count of a path in one step "
+                              f"or atom exceeds {_JUMP_COUNT_GUARD:g}")
     k = rng.poisson(r * mass) if mass > 0.0 else 0
     if k == 0:
         return np.empty(0, dtype=np.intp)
@@ -365,8 +365,8 @@ class _Independent:
         return _noise_term(coef, x, rng, work.tmp, work.normals)
 
     @staticmethod
-    def jumps(rng, r: float, x, sample, guard: float, out0, out1):
-        idx = _event_paths(rng, r, x, guard)
+    def jumps(rng, r: float, x, sample, out0, out1):
+        idx = _event_paths(rng, r, x)
         if idx.size:
             _add_marks(idx, sample(rng, idx.size), out0, out1)
 
@@ -391,10 +391,10 @@ class _Coupled:
         e = _noise_term(coef, high - low, rng, work.tmp[h:], work.normals[h:])
         return np.concatenate([g, g + e])
 
-    def jumps(self, rng, r: float, x, sample, guard: float, out0, out1):
+    def jumps(self, rng, r: float, x, sample, out0, out1):
         h = self.h
         top = np.maximum(x[:h], x[h:])
-        idx = _event_paths(rng, r, top, guard)
+        idx = _event_paths(rng, r, top)
         if idx.size:
             # U * top < top for U < 1, and a zero copy never keeps a mark
             u = rng.random(idx.size) * top[idx]
@@ -449,7 +449,7 @@ def _euler_step(plan: _StepPlan, k: int, X: np.ndarray, rng, src, out, work) -> 
     for ch in plan.channels:
         r = ch.rates_dt[k]
         if r != 0.0:
-            src.jumps(rng, r, X[:, ch.p], ch.sample, _JUMP_COUNT_GUARD, new0, new1)
+            src.jumps(rng, r, X[:, ch.p], ch.sample, new0, new1)
     if plan.clamp[0]:
         src.clamp(new0)
     if plan.clamp[1]:
@@ -457,10 +457,7 @@ def _euler_step(plan: _StepPlan, k: int, X: np.ndarray, rng, src, out, work) -> 
     return out
 
 
-def _atom_apply(atom: AtomInfo, X: np.ndarray, rng, src=_INDEPENDENT,
-                out=None, tmp=None) -> np.ndarray:
-    # without a buffer (simulate_atom) the batch is row-major: row aggregates round by layout
-    out = np.empty(X.shape) if out is None else out
+def _atom_apply(atom: AtomInfo, X: np.ndarray, rng, src, out, tmp) -> np.ndarray:
     x0, x1 = X[:, 0], X[:, 1]
     new0, new1 = out[:, 0], out[:, 1]
     np.multiply(x0, 1.0 - atom.delta[0], out=new0)
@@ -469,7 +466,7 @@ def _atom_apply(atom: AtomInfo, X: np.ndarray, rng, src=_INDEPENDENT,
     new1 += np.multiply(x0, atom.db[0][1], out=tmp)
     for p in range(2):
         for meas in atom.jumps[p]:
-            src.jumps(rng, meas.mass(), X[:, p], meas.sample, math.inf, new0, new1)
+            src.jumps(rng, meas.mass(), X[:, p], meas.sample, new0, new1)
     return np.maximum(out, 0.0, out=out)
 
 
@@ -617,11 +614,11 @@ def simulate_path(env: EnvSpec, x0, t: float, opts: SimOptions, noise: NoiseStre
 
 def simulate_atom(env: EnvSpec, s: float, x_left, rng: np.random.Generator) -> np.ndarray:
     """Draw the exact branching update across the atom at time s."""
-    x = np.atleast_2d(np.asarray(x_left, dtype=float))
-    if not np.all(x >= 0):
-        raise ValueError("x_left must be componentwise nonnegative")
+    x = nonnegative_pairs(np.atleast_2d(x_left), "x_left")
     info = atom_info(env, s)
-    out = x.copy() if info is None else _atom_apply(info, x, rng)
+    # the batch is row-major: callers aggregate it along its rows, which rounds by layout
+    out = x.copy() if info is None else _atom_apply(
+        info, x, rng, _INDEPENDENT, np.empty(x.shape), np.empty(len(x)))
     return out[0] if np.ndim(x_left) == 1 else out
 
 
@@ -634,9 +631,7 @@ def simulate_ensemble(env: EnvSpec, x0, t: float, checkpoints, lam_grid, n_paths
     outside = [c for c in checkpoints if not t0 <= c <= t]
     if outside:
         raise ValueError(f"checkpoint {outside[0]} outside [{t0}, {t}]")
-    lambdas = np.asarray(lam_grid, dtype=float) if len(lam_grid) else np.empty((0, 2))
-    if lambdas.ndim != 2 or lambdas.shape[1] != 2 or not np.all(lambdas >= 0):
-        raise ValueError("lam_grid must be a list of nonnegative (a, b) pairs")
+    lambdas = nonnegative_pairs(lam_grid, "lam_grid")
     rng = noise.substream("ensemble")
     plan = _StepPlan(env, t0, t, opts, checkpoints=checkpoints)
     snap = _SnapshotCollector(checkpoints)

@@ -1,13 +1,17 @@
+import csv
 import json
+import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bibranch import config as cfgmod
+from bibranch import cli, config as cfgmod
 from bibranch.cli import _scenario_from_config, main
+from bibranch.cumulant import v_infinity
 from bibranch.densities import Density
-from bibranch.environment import JumpKernel
+from bibranch.environment import JumpKernel, atom_info
 from bibranch.measures import CappedStableAxis, ExpProduct, StableAxis
 from bibranch.simulate import SimOptions, truncate_large_jumps
 
@@ -310,7 +314,8 @@ def test_verify_scenario_honours_run_options():
     assert sc.coupled_pairs == 50 and sc.truncation is True
 
 
-FELLER = Path(__file__).resolve().parents[1] / "configs" / "feller.json"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+FELLER = CONFIGS / "feller.json"
 
 
 def test_verify_scenario_checkpoints_default_to_run_t(tmp_path, capsys):
@@ -408,6 +413,38 @@ def test_malformed_run_value_is_a_usage_error(argv, key, value, tmp_path, capsys
     assert capsys.readouterr().err == f"bibranch: run.{key} has the wrong form: {value!r}\n"
 
 
+def test_cli_lambda_grid_must_be_finite(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("1.0,0.5\ninf,0\n")
+    out = tmp_path / "sim.csv"
+    code = main(["simulate", str(FELLER), "--paths", "16", "--t", "0.1", "--checkpoints", "0.1",
+                 "--lambda-grid", str(grid), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "bibranch: lam_grid must be finite\n"
+    assert not out.exists()
+
+
+def test_cli_cumulant_from_infinity_writes_the_limit_and_the_left_limits(tmp_path):
+    # atom_rich: bottlenecks of type 1 at 0.3 (mass 0.5) and 0.6 (mass 1), a
+    # cross atom 0.2 at 0.5 and a jump atom of m_2 at 0.45
+    out = tmp_path / "v.csv"
+    assert main(["cumulant", str(CONFIGS / "atom_rich.json"), "--lambda", "inf,inf",
+                 "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    env = cfgmod.env_from_config(cfgmod.load_config(CONFIGS / "atom_rich.json"))
+    value = {float(r["r"]): [float(r["v1"]), float(r["v2"])] for r in rows}
+    left = {float(r["r"]): [float(r["v1_left"]), float(r["v2_left"])] for r in rows}
+    atoms = [float(r["r"]) for r in rows if r["is_atom"] == "1"]
+    assert atoms == [0.6, 0.5, 0.45, 0.3]
+    assert value[0.0] == v_infinity(env, 1.0)[0].tolist()
+    for s in atoms:
+        assert left[s] == atom_info(env, s).cumulant_map(value[s]).tolist()
+    # the bottleneck at 0.6 empties type 1, which stays 0 up to the cross atom
+    assert left[0.6] == [0.0, math.inf] and value[0.5] == [0.0, math.inf]
+    inside = [r for r in value if 0.5 < r < 0.6]
+    assert inside and all(value[r] == [0.0, math.inf] for r in inside)
+
+
 def test_cli_lambda_grid_needs_two_numbers_per_line(tmp_path, capsys):
     grid = tmp_path / "grid.txt"
     grid.write_text("1.0,0.5\n\n2.0\n3.0\n")
@@ -419,14 +456,15 @@ def test_cli_lambda_grid_needs_two_numbers_per_line(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_bad_threads_variable_is_read_by_verify_only(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("argv, threads", [([], os.cpu_count() or 1), (["--threads", "3"], 3)],
+                         ids=["default", "flag"])
+def test_verify_threads_come_from_the_flag_alone(argv, threads, monkeypatch, tmp_path):
+    # the environment does not set the worker count: --threads, else the CPU count
     monkeypatch.setenv("BIBRANCH_THREADS", "abc")
-    assert main(["validate", str(FELLER)]) == 0
-    capsys.readouterr()
-    assert main(["verify", "--suite", "--out", str(tmp_path / "r.json")]) == 1
-    err = capsys.readouterr().err
-    assert err == "bibranch: BIBRANCH_THREADS must be an integer, got 'abc'\n"
-    assert not (tmp_path / "r.json").exists()
+    seen = []
+    monkeypatch.setattr(cli, "run_suite", lambda scenarios, threads: seen.append(threads) or [])
+    assert main(["verify", "--suite", "--out", str(tmp_path / "r.json"), *argv]) == 0
+    assert seen == [threads]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bibranch.densities import Density
-from bibranch.environment import JumpKernel
+from bibranch.environment import JumpKernel, atom_info
 from bibranch.measures import Dirac, ExpProduct
 from bibranch.moments import first_moment, moment_bound
 
@@ -67,6 +67,19 @@ def test_atom_update_with_cross_and_jump_atoms():
     assert is_atom[k] and np.count_nonzero(is_atom) == 1
     assert np.array_equal(grid_left[k], left)
     assert np.array_equal(vs[k], post)
+
+
+def test_mean_solved_up_to_an_atom_time_ends_after_the_atom():
+    env = make_env(b11=atoms_only((0.5, 0.3)), b21=atoms_only((0.5, 0.2)), b22=const(0.4))
+    curve = first_moment(env, (1.0, 2.0), 0.5)
+    left = curve.left_at(0.5)
+    assert left == pytest.approx([1.0, 2.0 * math.exp(-0.2)], rel=1e-9)
+    # at(t) is the right-continuous mean: the exact atom map of the left limit
+    post = atom_info(env, 0.5).mean_map(left)
+    assert np.array_equal(curve.at(0.5), post)
+    ts, vs, is_atom, grid_left = curve.grid()
+    assert ts[-1] == 0.5 and is_atom[-1]
+    assert np.array_equal(vs[-1], post) and np.array_equal(grid_left[-1], left)
 
 
 def test_zero_mass_atom_time_leaves_the_mean_alone():

@@ -620,6 +620,37 @@ def test_step_overflow_guard_threshold(monkeypatch):
                                  NoiseStream(41))
 
 
+def test_step_overflow_guard_covers_atom_jumps(monkeypatch):
+    # a jump atom of unit mass at 0.5 on a still state: expected events x_1
+    monkeypatch.setattr(simulate, "_JUMP_COUNT_GUARD", 2.0)
+    env = make_env(m1=JumpKernel((), ((0.5, Dirac((0.0, 1.0), 1.0)),)))
+    opts, rng = SimOptions(step=0.25), NoiseStream(44).substream("atom")
+    assert validate(env).passed
+    simulate_atom(env, 0.5, np.tile([2.0, 0.0], (10, 1)), rng)
+    simulate_path(env, (2.0, 0.0), 1.0, opts, NoiseStream(44))
+    coupled_order_violations(env, (0.0, 0.0), (2.0, 0.0), 1.0, 10, opts, NoiseStream(44))
+    with pytest.raises(SimulationError, match="step-overflow"):
+        simulate_atom(env, 0.5, (2.5, 0.0), rng)
+    with pytest.raises(SimulationError, match="step-overflow"):
+        simulate_path(env, (2.5, 0.0), 1.0, opts, NoiseStream(44))
+    # coupled pairs: the guard acts on each pair's level max(x_low, x_high)
+    with pytest.raises(SimulationError, match="step-overflow"):
+        coupled_order_violations(env, (0.0, 0.0), (2.5, 0.0), 1.0, 10, opts, NoiseStream(44))
+
+
+def test_simulate_atom_rejects_an_infinite_row():
+    # the atom_rich config's bottleneck at 0.3 and jump atom at 0.45
+    env = make_env(b11=atoms_only((0.3, 0.5)),
+                   m2=JumpKernel((), ((0.45, Dirac((0.2, 0.5), 0.3)),)))
+    rng = NoiseStream(45).substream("atom")
+    for s, x in ((0.3, (math.inf, 1.0)), (0.45, (1.0, math.inf)),
+                 (0.45, [(1.0, 1.0), (1.0, math.inf)])):
+        with pytest.raises(ValueError, match="x_left must be finite"):
+            simulate_atom(env, s, x, rng)
+    with pytest.raises(ValueError, match="x_left must be a nonnegative"):
+        simulate_atom(env, 0.3, (1.0, math.nan), rng)
+
+
 @pytest.mark.parametrize("step", [1e-9, 5e-324])
 def test_mesh_beyond_the_cap_is_rejected_at_once(step):
     tracemalloc.start()
@@ -681,8 +712,16 @@ def test_lambda_grid_must_be_nonnegative_pairs(grid):
         simulate_ensemble(env, (1.0, 0.5), 0.5, (0.5,), grid, 16, opts, NoiseStream(5))
 
 
+@pytest.mark.parametrize("grid", [[(math.inf, 0.0)], [(1.0, 0.5), (2.0, math.inf)]])
+def test_lambda_grid_must_be_finite(grid):
+    env, opts = make_env(), SimOptions(step=1e-2)
+    with pytest.raises(ValueError, match="lam_grid must be finite"):
+        simulate_ensemble(env, (1.0, 0.5), 0.5, (0.5,), grid, 16, opts, NoiseStream(5))
+
+
 def test_lambda_grid_empty_or_pairs_runs():
     env, opts = make_env(), SimOptions(step=1e-2)
     for grid, shape in (([], (0, 2)), ([(1.0, 0.0), (2.0, 3.0)], (2, 2))):
         stats = simulate_ensemble(env, (1.0, 0.5), 0.5, (0.5,), grid, 16, opts, NoiseStream(5))
         assert stats.lambdas.shape == shape and stats.laplace.shape == (1, shape[0])
+        assert stats.lambdas.dtype == np.float64 and stats.lambdas.flags.c_contiguous
