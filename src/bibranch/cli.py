@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -63,12 +64,11 @@ def _run_block(cfg) -> dict:
     return run
 
 
-def _setup(args, need_zeta=False):
-    """Parse the config once, write ``--dump-config`` from what was parsed and
-    validate the environment; returns ``(env, run, zeta)``."""
+def _setup(args):
+    """Parse the config once, ``zeta`` included, write ``--dump-config`` from
+    what was parsed and validate the environment; returns ``(env, run, zeta)``."""
     cfg = cfgmod.load_config(args.env)
-    env, run = cfgmod.env_from_config(cfg), _run_block(cfg)
-    zeta = cfgmod.zeta_from_config(cfg) if need_zeta or args.dump_config else None
+    env, run, zeta = cfgmod.env_from_config(cfg), _run_block(cfg), cfgmod.zeta_from_config(cfg)
     if args.dump_config:
         cfgmod.dump_config(cfgmod.env_to_config(env, zeta, run), args.dump_config)
     report = validate(env)
@@ -148,11 +148,9 @@ def cmd_moments(args):
 
 
 def _sim_options(args, run):
-    return SimOptions(
-        step=_opt(args, run, "step", 1e-3, float),
-        small_jump_eps=_opt(args, run, "small_jump_eps", 1e-2, float),
-        small_jump_mode=_opt(args, run, "small_jump_mode", "drop", str),
-    )
+    """``SimOptions`` from flags and ``run``, each default and cast its field's own."""
+    return SimOptions(**{f.name: _opt(args, run, f.name, f.default, type(f.default))
+                         for f in fields(SimOptions)})
 
 
 def _lambda_grid(args, run):
@@ -209,7 +207,7 @@ def cmd_simulate(args):
 
 
 def cmd_functional(args):
-    env, run, zeta = _setup(args, need_zeta=True)
+    env, run, zeta = _setup(args)
     if zeta is None:
         print("config has no zeta block", file=sys.stderr)
         return USAGE_ERROR

@@ -28,7 +28,8 @@ Layout::
 Every ``run`` key is optional, and a CLI flag of the same name overrides it
 (``--t``, ``--x0``, ``--lambda``, ``--step``, ``--seed``, and ``simulate``'s
 ``--paths`` and ``--checkpoints``).  Defaults: ``t`` the horizon, ``x0``
-(1, 1), ``seed`` 0, ``step`` 1e-3, ``checkpoints`` the one time ``t``.  Some
+(1, 1), ``seed`` 0, ``checkpoints`` the one time ``t``, and ``step``,
+``small_jump_eps`` and ``small_jump_mode`` those of ``SimOptions``.  Some
 differ by subcommand on purpose: ``lambda`` is (1, 1) for ``cumulant`` and
 (0, 0) for ``functional``; ``paths`` is 1000 for ``simulate`` and 10000 for
 ``verify --scenario``; ``lambda_grid`` is empty for ``simulate`` and
@@ -38,7 +39,8 @@ differ by subcommand on purpose: ``lambda`` is (1, 1) for ``cumulant`` and
 Admission is the same for every subcommand, ``simulate`` included: ``t``
 lies in [0, horizon], ``x0`` and ``lambda`` are nonnegative pairs, no value
 is NaN (Python's ``json`` reads ``NaN``), and a malformed ``run`` value is a
-usage error that names ``run.<key>``.
+usage error that names ``run.<key>``.  Every subcommand reads ``zeta``, so a
+malformed block is a usage error even where no weight is used.
 
 Density specs: ``{"kind": "constant", "v": 1.0}``,
 ``{"kind": "piecewise_linear", "points": [[t, v], ...]}`` or

@@ -318,10 +318,7 @@ def validate(env: EnvSpec) -> ValidationReport:
 
     # delta_i(t) <= 1 at every atom time
     for i in range(2):
-        times = set(env.b[i][i].atom_times) | set(env.m[i].atom_times)
-        for t in sorted(times):
-            if t > T:
-                continue
+        for t in env.atom_times(0.0, T):
             d = delta(env, i, t)
             if not d <= 1.0 + 1e-12:
                 report.add("delta-bound", f"type {i + 1}, t={t:g}", d,

@@ -1,10 +1,12 @@
 """Named cross-check scenarios with statistical gates and a JSON verdict.
 
 Each scenario owns an environment, a seed, Monte Carlo sizes and a gate
-configuration.  After environment validation it runs the gates its ``checks``
-name, in ``GATES`` order: the flow-property residual, ensemble mean versus the
-exact first moment, simulation-versus-solver Laplace agreement, pathwise or
-distributional comparison, truncation monotonicity, extinction, and
+configuration.  Once its lambda grid passes the one pair rule (a negative,
+NaN or infinite entry raises ``ValueError``) and its environment validates,
+it runs the gates its ``checks`` name, in ``GATES`` order: the flow-property
+residual, ensemble mean versus the exact first moment, simulation-versus-solver
+Laplace agreement, pathwise or distributional comparison, truncation
+monotonicity, extinction (exact wherever the law makes it certain), and
 weighted-functional identities.  A gate returns its ``CheckResult``s, plus a
 ``Skip`` with a reason for each check its scenario configures but that cannot
 run.  The gates share one lazily built ensemble, whose time is in the
@@ -14,7 +16,8 @@ ensemble, the coarse extinction run and the functional estimate) reads its own
 substream of the scenario's seed, so no two estimates share a random number.
 Statistical failure is a red verdict, never an exception; gates compare
 |estimate - exact| against sigma * SE, or against an O(step) bias floor where
-the sample SE is degenerate.
+the sample SE is degenerate; a gate folds its cells with a NumPy reduction,
+so a NaN cell fails it.
 The JSON report excludes runtimes and skips, so identical seeds yield
 byte-identical reports at any thread count.
 """
@@ -29,10 +32,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cumulant import _integrate_backward, extinction_prob, laplace_transform, \
-    solve_backward
+from .cumulant import extinction_prob, laplace_transform, solve_backward
 from .densities import Density, SignedMeasure1D
-from .environment import EnvSpec, JumpKernel, validate
+from .environment import EnvSpec, JumpKernel, nonnegative_pairs, validate
 from .functionals import WeightMeasure, mc_functional, solve_functional, solve_w
 from .measures import Dirac, ExpProduct, StableAxis
 from .moments import first_moment
@@ -76,7 +78,6 @@ class Scenario:
     zeta: WeightMeasure | None = None
     x0_high: tuple | None = None  # enables the distributional comparison gate
     coupled_pairs: int = 0  # pathwise ordering pairs (diffusion-free only)
-    extinction_exact_one: bool = False
     extinction_coarse_step: float | None = None  # bias-refinement documentation
     truncation: bool = False
     checks: tuple = field(default_factory=lambda: ("validation", *GATES))
@@ -126,10 +127,14 @@ def reports_to_json(reports) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _ratio(diff, tol):
+    """|diff| / tol, with 0 / 0 = 0 and x / 0 = inf."""
+    return abs(diff) / tol if tol > 0 else math.inf if diff != 0 else 0.0
+
+
 def _gate_ratio(diff, se, sigma, floor, degenerate_se):
     """|diff| over its tolerance; tolerance is sigma*SE or the bias floor."""
-    tol = sigma * se if se > degenerate_se else floor
-    return abs(diff) / tol if tol > 0 else math.inf if diff != 0 else 0.0
+    return _ratio(diff, sigma * se if se > degenerate_se else floor)
 
 
 @dataclass
@@ -154,13 +159,12 @@ class _Context:
 
 def _semigroup(sc, ctx):
     # 5x5 (r, s) grid with one outer solve and one inner solve per s
-    worst, tol = 0.0, sc.gates.semigroup_tol
+    tol, res = sc.gates.semigroup_tol, []
     outer = solve_backward(sc.env, sc.t, ctx.lam_ref)
     for s in np.linspace(0.0, sc.t, 7)[1:-1]:
-        inner = _integrate_backward(sc.env, float(s), outer.at(float(s)))
-        for r in np.linspace(0.0, s, 5):
-            res = np.abs(outer.at(float(r)) - inner.at(float(r)))
-            worst = max(worst, float(res.max()))
+        inner = solve_backward(sc.env, float(s), outer.at(float(s)))
+        res += [np.abs(outer.at(float(r)) - inner.at(float(r))) for r in np.linspace(0.0, s, 5)]
+    worst = float(np.max(res))
     return [CheckResult("semigroup", worst, tol, worst < tol)]
 
 
@@ -171,13 +175,14 @@ def _moment(sc, ctx):
         return [Skip("moment", "state variance infinite (uncapped power tail)")]
     g, stats = sc.gates, ctx.stats
     curve = first_moment(sc.env, sc.x0, sc.t)
-    worst = 0.0
+    ratios = []
     for a, cp in enumerate(stats.checkpoints):
         exact = curve.at(float(cp))
         for i in range(2):
             floor = g.moment_floor_coeff * sc.opts.step * max(1.0, abs(exact[i]))
-            worst = max(worst, _gate_ratio(stats.mean[a, i] - exact[i], stats.se_mean[a, i],
-                                           g.moment_sigma, floor, g.se_degenerate))
+            ratios.append(_gate_ratio(stats.mean[a, i] - exact[i], stats.se_mean[a, i],
+                                      g.moment_sigma, floor, g.se_degenerate))
+    worst = float(np.max(ratios))
     return [CheckResult("moment", worst, 1.0, worst <= 1.0)]
 
 
@@ -195,7 +200,7 @@ def _laplace(sc, ctx):
             ratios.append(_gate_ratio(diff, se, g.mc_sigma, floor, g.se_degenerate))
             hard.append(_gate_ratio(diff, se, g.hard_sigma, floor, g.se_degenerate))
     frac = float(np.mean([r <= 1.0 for r in ratios]))
-    worst_hard = float(max(hard))
+    worst_hard = float(np.max(hard))
     return [CheckResult("laplace-cells", frac, g.cell_pass_frac, frac >= g.cell_pass_frac),
             CheckResult("laplace-hard-cap", worst_hard, 1.0, worst_hard <= 1.0)]
 
@@ -214,11 +219,11 @@ def _comparison(sc, ctx):
         stats, n_high = ctx.stats, max(sc.n_paths // 4, 2)
         high = simulate_ensemble(sc.env, sc.x0_high, sc.t, (sc.t,), sc.lam_grid, n_high,
                                  sc.opts, ctx.noise.child("x0-high"))
-        worst = -math.inf
+        z = []
         for l in range(len(stats.lambdas)):
             pooled = math.hypot(stats.laplace_se[-1, l], high.laplace_se[-1, l])
-            pooled = max(pooled, g.se_degenerate)
-            worst = max(worst, (high.laplace[-1, l] - stats.laplace[-1, l]) / pooled)
+            z.append((high.laplace[-1, l] - stats.laplace[-1, l]) / max(pooled, g.se_degenerate))
+        worst = float(np.max(z))
         out.append(CheckResult("comparison-distributional", worst, g.mc_sigma,
                                worst <= g.mc_sigma))
     return out
@@ -230,7 +235,7 @@ def _truncation(sc, ctx):
     v_full = solve_backward(sc.env, sc.t, ctx.lam_ref).at(0.0)
     vs = [solve_backward(truncate_large_jumps(sc.env, k), sc.t, ctx.lam_ref).at(0.0)
           for k in sc.gates.trunc_levels]
-    min_incr = min(float(np.min(b - a)) for a, b in zip(vs, vs[1:]))
+    min_incr = float(np.min([b - a for a, b in zip(vs, vs[1:])]))
     d_first = float(np.linalg.norm(vs[0] - v_full))
     d_last = float(np.linalg.norm(vs[-1] - v_full))
     return [CheckResult("truncation-monotone", min_incr, 0.0, min_incr >= -1e-9),
@@ -240,9 +245,9 @@ def _truncation(sc, ctx):
 
 def _extinction(sc, ctx):
     g, freq = sc.gates, float(ctx.stats.extinction[-1])
-    if sc.extinction_exact_one:
-        return [CheckResult("extinction-exact", freq, 1.0, freq == 1.0)]
     p_pred = extinction_prob(sc.env, sc.x0, sc.t)
+    if p_pred == 1.0:  # the law makes extinction certain, so every path must die
+        return [CheckResult("extinction-exact", freq, 1.0, freq == 1.0)]
     se = math.sqrt(max(freq * (1.0 - freq), 0.0) / sc.n_paths)
     floor = g.moment_floor_coeff * sc.opts.step
     ratio = _gate_ratio(freq - p_pred, se, g.extinction_sigma, floor, g.se_degenerate)
@@ -251,10 +256,8 @@ def _extinction(sc, ctx):
         pc, _ = extinction_frequency(sc.env, sc.x0, sc.t, sc.n_paths,
                                      replace(sc.opts, step=sc.extinction_coarse_step),
                                      ctx.noise.child("extinction-coarse"))
-        bias_fine = abs(freq - p_pred)
-        bias_coarse = abs(pc - p_pred)
-        out.append(CheckResult("extinction-bias-monotone",
-                               bias_fine / bias_coarse if bias_coarse > 0 else 0.0,
+        bias_fine, bias_coarse = abs(freq - p_pred), abs(pc - p_pred)
+        out.append(CheckResult("extinction-bias-monotone", _ratio(bias_fine, bias_coarse),
                                1.0, bias_fine <= bias_coarse))
     return out
 
@@ -289,14 +292,14 @@ GATES = {"semigroup": _semigroup, "moment": _moment, "laplace": _laplace,
 
 
 def run_scenario(sc: Scenario) -> VerdictReport:
+    lam_grid = nonnegative_pairs(sc.lam_grid, "lam_grid")  # an inadmissible grid runs no gate
     t_start = time.perf_counter()
     report = validate(sc.env)
     checks = [CheckResult("validation", float(len(report.violations)), 0.0,
                           report.passed, time.perf_counter() - t_start)]
     if not report.passed:
         return VerdictReport(sc.name, checks, False, time.perf_counter() - t_start)
-    lam_ref = tuple(np.max(np.asarray(sc.lam_grid).reshape(-1, 2), axis=0)) \
-        if sc.lam_grid else (1.0, 1.0)
+    lam_ref = tuple(lam_grid.max(axis=0)) if len(lam_grid) else (1.0, 1.0)
     ctx, skipped = _Context(sc, NoiseStream(sc.seed), lam_ref), []
     for name, gate in GATES.items():
         if name not in sc.checks:
@@ -410,7 +413,7 @@ def suite():
                  x0_high=(2.0, 2.0)),
         Scenario("bottleneck", _env(b11=_atoms((0.5, 1.0))), (1.0, 0.0), 1.0,
                  (0.4, 1.0), LAM_GRID_ONE, 100_000, 109, SimOptions(1e-3),
-                 extinction_exact_one=True, coupled_pairs=1000),
+                 coupled_pairs=1000),
         Scenario("functional-density", feller_embed_env(), (1.0, 0.0), 1.0,
                  (1.0,), LAM_GRID_ONE, 100_000, 110, SimOptions(1e-3),
                  zeta=WeightMeasure((_const(1.0), _zero())),

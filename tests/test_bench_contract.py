@@ -67,8 +67,11 @@ def test_the_analytic_pass_and_oracles_run_clean():
 
 
 def test_gate_coverage_reads_a_report():
-    sc = next(sc for sc in suite() if sc.name == "zero-env")
-    cov = workloads.coverage(sc, run_scenario(sc))
-    assert cov == {"gates": ["comparison-pathwise", "extinction", "laplace-cells",
-                             "laplace-hard-cap", "moment", "semigroup", "validation"],
-                   "skipped": {}, "not_configured": ["functional", "truncation"]}
+    # the law makes extinction certain on bottleneck, and coverage counts its
+    # extinction-exact check as the extinction gate
+    for name, extinction in (("zero-env", "extinction"), ("bottleneck", "extinction-exact")):
+        sc = next(sc for sc in suite() if sc.name == name)
+        cov = workloads.coverage(sc, run_scenario(sc))
+        assert cov == {"gates": ["comparison-pathwise", extinction, "laplace-cells",
+                                 "laplace-hard-cap", "moment", "semigroup", "validation"],
+                       "skipped": {}, "not_configured": ["functional", "truncation"]}, name

@@ -476,3 +476,31 @@ def test_verify_needs_exactly_one_of_suite_and_scenario(argv, message, capsys):
         main(argv)
     assert exc.value.code == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["cumulant"], ["moments"], ["extinction"],
+    ["simulate", "--paths", "8", "--step", "0.1"], ["functional"],
+    ["verify", "--threads", "1", "--scenario"],
+], ids=["validate", "cumulant", "moments", "extinction", "simulate", "functional", "verify"])
+def test_malformed_zeta_is_a_usage_error_for_every_subcommand(argv, tmp_path, capsys):
+    cfg = json.loads(FELLER.read_text())
+    cfg["zeta"] = [{"density": {"kind": "constant", "v": 1.0}}]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    assert main([*argv, str(p)]) == 1
+    assert capsys.readouterr().err == "bibranch: zeta must carry one block per type\n"
+
+
+def test_simulation_defaults_are_the_fields_of_sim_options():
+    args = cli.build_parser().parse_args(["simulate", str(FELLER)])
+    assert cli._sim_options(args, {}) == SimOptions()
+    assert cli._sim_options(None, {"small_jump_mode": "gaussian"}) == SimOptions(
+        small_jump_mode="gaussian")
+
+
+def test_cli_cumulant_from_infinity_writes_the_terminal_row_first(tmp_path):
+    out = tmp_path / "v.csv"
+    assert main(["cumulant", str(FELLER), "--lambda", "inf,inf", "--out", str(out)]) == 0
+    first = next(csv.DictReader(out.read_text().splitlines()))
+    assert [first["r"], first["v1"], first["v2"], first["is_atom"]] == ["1", "inf", "inf", "0"]

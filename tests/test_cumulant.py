@@ -439,6 +439,13 @@ def test_solution_grid_contains_atoms_both_sided():
     assert vs[0][0] == pytest.approx(1.2)
 
 
+def test_a_sweep_from_infinity_ends_its_grid_with_the_terminal_row():
+    # the blow-up top piece starts just below t, so the grid appends (t, lambda)
+    ts, vs, _, _ = solve_backward(feller_embed_env(), 1.0, (math.inf, math.inf)).grid()
+    assert ts[-1] == 1.0 and vs[-1].tolist() == [math.inf, math.inf]
+    assert ts[-2] < 1.0
+
+
 def test_terminal_time_atom_is_applied():
     env = make_env(b11=atoms_only((1.0, 0.5)), horizon=1.0)
     sol = solve_backward(env, 1.0, (2.0, 0.0))

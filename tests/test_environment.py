@@ -31,6 +31,17 @@ def test_delta_bound_violation_reported():
     assert v.value == pytest.approx(1.2)
 
 
+def test_delta_bound_reads_the_atoms_up_to_the_horizon():
+    # one window query over (0, horizon]: an atom past the horizon is not
+    # checked, one at it is, and the order is by type, then by time
+    env = make_env(b11=atoms_only((0.5, 1.5), (1.0, 1.5), (1.5, 1.5)),
+                   b22=atoms_only((0.7, 2.0)), b12=atoms_only((0.2, 3.0)), horizon=1.0)
+    report = validate(env)
+    assert [(v.constraint, v.location, v.value) for v in report.violations] == [
+        ("delta-bound", "type 1, t=0.5", 1.5), ("delta-bound", "type 1, t=1", 1.5),
+        ("delta-bound", "type 2, t=0.7", 2.0)]
+
+
 def test_delta_boundary_value_allowed():
     env = make_env(b11=atoms_only((1.0, 1.0)), horizon=2.0)
     assert validate(env).passed

@@ -1,8 +1,13 @@
 import dataclasses
 import json
+import math
 import time
 
+import numpy as np
+import pytest
+
 from bibranch import verify
+from bibranch.cumulant import extinction_prob
 from bibranch.verify import (
     GateConfig,
     Scenario,
@@ -176,3 +181,58 @@ def test_the_suites_pathwise_comparisons_clamp_no_column():
     for sc in compared:
         plan = _StepPlan(sc.env, 0.0, sc.t, dataclasses.replace(sc.opts, small_jump_mode="drop"))
         assert plan.clamp == (False, False), sc.name
+
+
+def test_an_inadmissible_lambda_grid_runs_no_gate(monkeypatch):
+    ran = []
+    monkeypatch.setitem(verify.GATES, "semigroup", lambda sc, ctx: ran.append(sc) or [])
+    sc = next(s for s in suite() if s.name == "dirac-cross")
+    for checks in (sc.checks, ("validation", "semigroup")):
+        bad = dataclasses.replace(sc, lam_grid=((1.0, 0.5), (math.inf, 0.0)), checks=checks)
+        with pytest.raises(ValueError, match="lam_grid must be finite"):
+            run_scenario(bad)
+    assert ran == []
+
+
+def test_a_nan_cell_fails_its_gate(monkeypatch):
+    inner = verify.simulate_ensemble
+
+    def with_nan(*a, **k):
+        stats = inner(*a, **k)
+        stats.mean[0, 0] = stats.laplace[-1, -1] = np.nan
+        return stats
+
+    monkeypatch.setattr(verify, "simulate_ensemble", with_nan)
+    sc = dataclasses.replace(_tiny_scenario(), n_paths=2000,
+                             checks=("validation", "moment", "laplace", "comparison"))
+    checks = {c.name: c for c in run_scenario(sc).checks}
+    for name in ("moment", "laplace-hard-cap", "comparison-distributional"):
+        assert math.isnan(checks[name].statistic) and not checks[name].passed, name
+
+
+def test_certain_extinction_gets_the_exact_check_from_the_law():
+    # a full bottleneck of the only populated type, with diffusion before it
+    env = make_env(b11=atoms_only((0.4, 1.0)), c1=const(0.2), b22=const(0.3))
+    sc = Scenario(name="certain", env=env, x0=(1.0, 0.0), t=0.8, checkpoints=(0.8,),
+                  lam_grid=((1.0, 0.0),), n_paths=200, seed=4, opts=SimOptions(step=1e-2),
+                  checks=("validation", "extinction"))
+    assert extinction_prob(env, sc.x0, sc.t) == 1.0
+    rep = run_scenario(sc)
+    assert [(c.name, c.statistic, c.passed) for c in rep.checks[1:]] == [
+        ("extinction-exact", 1.0, True)]
+
+
+def test_bias_monotone_reads_inf_when_only_the_coarse_bias_vanishes(monkeypatch):
+    monkeypatch.setattr(verify, "extinction_frequency",
+                        lambda env, x0, t, *a: (extinction_prob(env, x0, t), 0.0))
+    sc = dataclasses.replace(_tiny_scenario(), checks=("validation", "extinction"))
+    bias = next(c for c in run_scenario(sc).checks if c.name == "extinction-bias-monotone")
+    assert bias.statistic == math.inf and not bias.passed
+
+
+def test_the_semigroup_gate_fails_on_a_nan_residual():
+    # a sweep from lambda = inf gives inf - inf residuals; the gate's reduction keeps them
+    sc = next(s for s in suite() if s.name == "dirac-cross")
+    with np.errstate(invalid="ignore"):
+        [semi] = verify._semigroup(sc, verify._Context(sc, NoiseStream(0), (math.inf, 0.0)))
+    assert math.isnan(semi.statistic) and not semi.passed
