@@ -40,7 +40,9 @@ Admission is the same for every subcommand, ``simulate`` included: ``t``
 lies in [0, horizon], ``x0`` and ``lambda`` are nonnegative pairs, no value
 is NaN (Python's ``json`` reads ``NaN``), and a malformed ``run`` value is a
 usage error that names ``run.<key>``.  Every subcommand reads ``zeta``, so a
-malformed block is a usage error even where no weight is used.
+malformed block is a usage error even where no weight is used.  ``types``
+and ``zeta`` are each a list of two objects, one per type; any other shape
+is a usage error that names the key.
 
 Density specs: ``{"kind": "constant", "v": 1.0}``,
 ``{"kind": "piecewise_linear", "points": [[t, v], ...]}`` or
@@ -162,10 +164,17 @@ def _kernel_to(k: JumpKernel) -> dict:
     return out
 
 
+def _per_type(cfg: dict, key: str) -> list:
+    """cfg[key], which must be a list of two objects, one per type."""
+    blocks = cfg.get(key)
+    if not (isinstance(blocks, list) and len(blocks) == 2
+            and all(isinstance(blk, dict) for blk in blocks)):
+        raise ValueError(f"{key} must carry one block per type")
+    return blocks
+
+
 def env_from_config(cfg: dict) -> EnvSpec:
-    types = cfg["types"]
-    if len(types) != 2:
-        raise ValueError("config must declare exactly two types")
+    types = _per_type(cfg, "types")
     b = [[None, None], [None, None]]
     c = [None, None]
     m = [None, None]
@@ -184,11 +193,9 @@ def env_from_config(cfg: dict) -> EnvSpec:
 
 
 def zeta_from_config(cfg: dict):
-    z = cfg.get("zeta")
-    if z is None:
+    if cfg.get("zeta") is None:
         return None
-    if len(z) != 2:
-        raise ValueError("zeta must carry one block per type")
+    z = _per_type(cfg, "zeta")
     return WeightMeasure((_measure1d_from(z[0]), _measure1d_from(z[1])))
 
 

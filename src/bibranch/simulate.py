@@ -50,10 +50,23 @@ scratch) per copy.  Terms that are zero on the whole mesh (a cross feed) or
 on a whole interval (a weight density) are dropped when the plan is compiled.
 Adding an exact zero can only turn -0.0 into +0.0, and no state holds -0.0
 (a clamped column is clamped, and the others add nonnegative terms to a
-start of +0.0 or more), so every output byte stays as it was.  A plan that
-draws no random number (no Gaussian term, live channel or atom jump) moves
-every row of an ensemble's identical start the same way, so the ensemble
-steps one row and tiles its snapshots.
+start of +0.0 or more), so every output byte stays as it was.
+
+Without a Gaussian term or a negative coefficient, a path between its marks
+and atoms follows only the linear drift: one step maps every row by the same
+2x2 matrix M_k, X_{k+1} = X_k M_k + marks.  The flow form of a run keeps
+Y = X F^{-1} with F = M_0 ... M_{k-1}, advances F as four floats per step,
+and adds a mark Z to its row of Y as Z F^{-1}; the block sums of Y, refreshed
+where marks land, give each column's mass and the event search, so a step
+costs O(1) without events and O(blocks + events * block) with them, instead
+of O(n).  The state max(Y F, 0) is formed only at atoms (which restart the
+flow from their update), at the points the collectors read, and where F has
+grown too skewed for Y F to round well.  Independent ensembles and
+functionals without a weight density take it when every M_k has a positive
+determinant; it draws the same random numbers as the eager step, and its
+states differ from the eager step's by rounding.  Trajectories, coupled
+pairs and weight densities, which read every row at every step, keep the
+eager step.
 
 Coupled pairs take the same step on one column-major (2h, 2) state, low
 copies in rows [0, h) and high copies in rows [h, 2h); only the
@@ -124,8 +137,10 @@ class SimOptions:
     small_jump_mode: str = "drop"  # or "gaussian"
 
     def __post_init__(self):
-        if not (self.step > 0 and self.small_jump_eps > 0):
-            raise ValueError("step and small_jump_eps must be positive")
+        for key in ("step", "small_jump_eps"):
+            val = getattr(self, key)
+            if not 0.0 < val < math.inf:
+                raise ValueError(f"{key} must be positive and finite, got {val!r}")
         if self.small_jump_mode not in ("drop", "gaussian"):
             raise ValueError("small_jump_mode must be 'drop' or 'gaussian'")
 
@@ -233,15 +248,13 @@ class _StepPlan:
         self.clamp = tuple(self.noisy[i] or bool(np.any(self.lin_keep[i] < 0))
                            or bool(np.any(self.lin_feed[i] < 0)) for i in range(2))
 
+        # without noise and marks a step is X_{k+1} = X_k M_k, M_k = [[keep_0, feed_1],
+        # [feed_0, keep_1]]; the flow form needs every M_k invertible, orientation kept
+        self.invertible = bool(np.all(self.lin_keep[0] * self.lin_keep[1]
+                                      > self.lin_feed[0] * self.lin_feed[1]))
+
         atom_times = set(env.atom_times(t0, t))
         self.atom_at = {k: atom_info(env, s) for k, s in enumerate(self.mesh) if s in atom_times}
-        # no Gaussian term, live channel or atom jump: no random number is drawn
-        self.draws_nothing = not (
-            any(self.noisy)
-            or any(np.any(ch.rates_dt != 0.0) for ch in self.channels)
-            or any(a is not None and any(a.jumps) for a in self.atom_at.values())
-        )
-
         self.index_of = {float(s): k for k, s in enumerate(self.mesh)}
 
 
@@ -265,20 +278,41 @@ def _event_paths(rng, r: float, x: np.ndarray) -> np.ndarray:
     only the blocks they fall in, at O(n / _BLOCK + events * _BLOCK) instead
     of the O(n) of one cumsum of all paths, which every other step searches.
     """
-    mass = float(x.sum())
+    u = _event_keys(rng, r, float(x.sum()), x.max)
+    if u is None:
+        return _NO_EVENTS
+    if _block_form(x.size, u.size):
+        return _block_search(x, _block_edges(x), u)
+    return _cumsum_search(x, u)
+
+
+_NO_EVENTS = np.empty(0, dtype=np.intp)
+_NO_EVENTS.flags.writeable = False
+
+
+def _event_keys(rng, r: float, mass: float, peak):
+    """The sorted keys in [0, mass) of a Poisson(r * mass) number of events, or
+    None without events; peak() is the largest entry of the state, read only
+    when r * mass passes the jump-count guard."""
     # x >= 0 makes any sum of it >= max(x) after rounding, so the sum screens the max
-    if mass * r > _JUMP_COUNT_GUARD and x.max() * r > _JUMP_COUNT_GUARD:
+    if mass * r > _JUMP_COUNT_GUARD and peak() * r > _JUMP_COUNT_GUARD:
         raise SimulationError(f"step-overflow: expected jump count of a path in one step "
                               f"or atom exceeds {_JUMP_COUNT_GUARD:g}")
     k = rng.poisson(r * mass) if mass > 0.0 else 0
     if k == 0:
-        return np.empty(0, dtype=np.intp)
+        return None
     # sorted keys make the lookups walk the boundaries in order; marks are
     # iid, so the order in which events are listed does not change the law
-    u = np.sort(rng.random(k)) * mass
-    n = x.size
-    if n >= _FEW_PATHS and k * _DENSE <= -(-n // _BLOCK):
-        return _block_search(x, _block_edges(x), u)
+    return np.sort(rng.random(k)) * mass
+
+
+def _block_form(n: int, k: int) -> bool:
+    """Whether k events among n paths search only their blocks."""
+    return n >= _FEW_PATHS and k * _DENSE <= -(-n // _BLOCK)
+
+
+def _cumsum_search(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Path of each sorted key u in [0, mass], by one cumsum of all paths."""
     cum = np.cumsum(x)
     idx = np.searchsorted(cum, u, side="right")
     # a key at or past the last boundary (rounding) goes to the last positive path
@@ -299,19 +333,31 @@ def _block_edges(x: np.ndarray) -> np.ndarray:
 
 def _block_search(x: np.ndarray, edges: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Path of each sorted key u in [0, mass], searching only the key's block."""
+    return _search_blocks(functools.partial(_block_rows, x), edges, u)
+
+
+def _block_rows(x: np.ndarray, blk: np.ndarray) -> np.ndarray:
+    """A new (len(blk), _BLOCK) array of the paths of the sorted blocks blk of
+    x, a tail block padded with zeros."""
     n, full = x.size, x.size // _BLOCK
+    if blk[-1] < full:
+        return x[:full * _BLOCK].reshape(-1, _BLOCK)[blk]
+    rows = np.zeros((blk.size, _BLOCK))
+    tail = np.searchsorted(blk, full)
+    rows[:tail] = x[:full * _BLOCK].reshape(-1, _BLOCK)[blk[:tail]]
+    rows[tail:, :n - full * _BLOCK] = x[full * _BLOCK:]
+    return rows
+
+
+def _search_blocks(block_rows, edges: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Path of each sorted key u in [0, mass], given the block edges and
+    block_rows(blk), a new array of the paths of the blocks blk."""
     blk = np.searchsorted(edges[1:], u, side="right")
     if blk[-1] == edges.size - 1:
         # a key at or past the last edge (rounding): the last block of positive sum
         np.minimum(blk, np.searchsorted(edges[1:], edges[-1], side="left"), out=blk)
-    # one row per key: the paths of its block, a tail block padded with zeros
-    if blk[-1] < full:
-        rows = x[:full * _BLOCK].reshape(-1, _BLOCK)[blk]
-    else:
-        rows = np.zeros((blk.size, _BLOCK))
-        tail = np.searchsorted(blk, full)
-        rows[:tail] = x[:full * _BLOCK].reshape(-1, _BLOCK)[blk[:tail]]
-        rows[tail:, :n - full * _BLOCK] = x[full * _BLOCK:]
+    # one row per key: the paths of its block
+    rows = block_rows(blk)
     # the path boundaries from the block's lower edge, summed in path order;
     # the key's path is the number of boundaries at or below it
     rows[:, 0] += edges[blk]
@@ -322,7 +368,7 @@ def _block_search(x: np.ndarray, edges: np.ndarray, u: np.ndarray) -> np.ndarray
     over = j == _BLOCK
     if over.any():
         for e in over.nonzero()[0]:
-            j[e] = np.flatnonzero(x[blk[e] * _BLOCK:(blk[e] + 1) * _BLOCK])[-1]
+            j[e] = np.flatnonzero(block_rows(blk[e:e + 1])[0])[-1]
     j += blk * _BLOCK
     return j
 
@@ -339,6 +385,11 @@ def _add_marks(idx, Z, out0, out1):
     first = np.empty(idx.size, dtype=bool)
     first[:1] = True
     np.not_equal(idx[1:], idx[:-1], out=first[1:])
+    if first.all():
+        # distinct rows: each bincount entry would be 0.0 + Z[e], that is Z[e]
+        out0[idx] += Z[:, 0]
+        out1[idx] += Z[:, 1]
+        return
     rank = np.cumsum(first)
     rank -= 1
     rows = idx[first]
@@ -478,11 +529,29 @@ def _tile(x0, n: int) -> np.ndarray:
 
 
 def _run(plan: _StepPlan, X: np.ndarray, rng, collectors=(), src=_INDEPENDENT):
-    """Step X across the plan's mesh and return the final state.
+    """Step X across the plan's mesh and return the final state, in the flow
+    form where it applies (see _takes_flow) and by the eager step otherwise.
 
     X is only read.  Collectors see X_prev, X_pre and X_post in three
-    distinct buffers that later steps overwrite, so they copy what they keep.
+    distinct buffers that later steps overwrite, so they copy what they keep;
+    in the flow form they are called only at formed points, where X_prev is
+    None and X_pre is X_post except at an atom.
     """
+    if _takes_flow(plan, src, collectors):
+        return _run_flow(plan, X, rng, collectors)
+    return _run_eager(plan, X, rng, collectors, src)
+
+
+def _takes_flow(plan: _StepPlan, src, collectors) -> bool:
+    """Independent paths, no clamped column (no Gaussian term, no negative
+    coefficient), every step map invertible with positive determinant, and
+    collectors that each name the mesh points they read."""
+    return (src is _INDEPENDENT and not any(plan.clamp) and plan.invertible
+            and all(c.points(plan) is not None for c in collectors))
+
+
+def _run_eager(plan: _StepPlan, X: np.ndarray, rng, collectors=(), src=_INDEPENDENT):
+    """Every step rewrites every row (_euler_step)."""
     for c in collectors:
         c.begin(plan, X)
     work = _Work(X.shape[0])
@@ -497,11 +566,156 @@ def _run(plan: _StepPlan, X: np.ndarray, rng, collectors=(), src=_INDEPENDENT):
     return X
 
 
+def _run_flow(plan: _StepPlan, X: np.ndarray, rng, collectors=()):
+    """The flow form of a plan that _takes_flow: a step advances the 2x2 map F
+    and touches only the rows its events hit (_Flow).  The state is formed at
+    atoms, at the collectors' points, where F has grown skewed, and at the end;
+    a formed state restarts the flow, after the atom update at an atom.  The
+    events and marks are those of _run_eager, drawn in the same order; the
+    states differ from the eager step's by rounding."""
+    for c in collectors:
+        c.begin(plan, X)
+    flow = _Flow(X)
+    formed = set(plan.atom_at).union(*(c.points(plan) for c in collectors))
+    steps = np.column_stack([plan.lin_keep[0], plan.lin_feed[1],
+                             plan.lin_feed[0], plan.lin_keep[1]])
+    pre, post = (np.empty(X.shape, order="F") for _ in range(2))
+    for k in range(len(steps)):
+        marks = []
+        for ch in plan.channels:
+            r = ch.rates_dt[k]
+            if r != 0.0:
+                idx = flow.events(rng, r, ch.p)
+                if idx.size:
+                    marks.append((idx, ch.sample(rng, idx.size)))
+        flow.advance(*steps[k].tolist())
+        if marks:
+            flow.add_marks(marks)
+        if k + 1 in formed or flow.skewed():
+            X = X_pre = flow.state(pre)
+            atom = plan.atom_at.get(k + 1)
+            if atom is not None:
+                X = _atom_apply(atom, X_pre, rng, _INDEPENDENT, post, flow.tmp)
+            flow.restart(X)
+            for c in collectors:
+                c.after_step(k + 1, None, X_pre, X, plan.dts[k])
+    return flow.state(np.empty(X.shape, order="F"))
+
+
+# a formed state restarts the flow once |F|^2 / det F (Frobenius norm, at least
+# 2) passes this: the rounding of Y F grows with the skew of F
+_SKEW = 8.0
+
+
+class _Flow:
+    """The state of n independent diffusion-free paths as X = max(Y F, 0).
+
+    Between marks every path takes the same step X -> X M_k, so the run keeps
+    F = M_0 ... M_{k-1} as four floats and Y = X F^{-1} fixed; a mark Z joins
+    its row of Y as Z F^{-1}.  Y has its rows zero-padded to whole blocks of
+    _BLOCK, with the block sums BY of each column refreshed on the blocks that
+    marks touch and their total SY kept with them: the block sums of column p
+    of X are BY . F[:, p] and its mass SY . F[:, p], so a step without events
+    costs O(1) and one with events O(blocks + events * _BLOCK).  A state entry
+    is clamped at 0 where rounding takes its combination below (the true X is
+    nonnegative), and a combination leaves out the term of a zero entry of F,
+    so a triangular F keeps zeros exact.
+    """
+
+    def __init__(self, X: np.ndarray):
+        self.n = X.shape[0]
+        nb = self.nb = -(-self.n // _BLOCK)
+        self.Y = np.zeros((nb * _BLOCK, 2), order="F")
+        # the columns of Y, and their blocks as one (2, blocks, _BLOCK) view
+        self.cols = (self.Y[:, 0], self.Y[:, 1])
+        self.Yb = self.Y.T.reshape(2, nb, _BLOCK)
+        self.BY = np.empty((2, nb))
+        self.tmp, self.col = np.empty(self.n), np.empty(self.n)
+        self.restart(X)
+
+    def restart(self, X: np.ndarray):
+        """Y = X and F = I."""
+        self.Y[:self.n] = X
+        self.F = (1.0, 0.0, 0.0, 1.0)
+        self.Yb.sum(axis=2, out=self.BY)
+        self.SY = self.BY.sum(axis=1).tolist()
+
+    def advance(self, m00, m01, m10, m11):
+        """F <- F M for one step map M."""
+        a, b, c, d = self.F
+        self.F = (a * m00 + b * m10, a * m01 + b * m11, c * m00 + d * m10, c * m01 + d * m11)
+
+    def skewed(self) -> bool:
+        a, b, c, d = self.F
+        return a * a + b * b + c * c + d * d > _SKEW * (a * d - b * c)
+
+    def column(self, p: int, out=None) -> np.ndarray:
+        """Column p of the state."""
+        n = self.n
+        return _combine(self.cols[0][:n], self.cols[1][:n], self.F[p], self.F[2 + p],
+                        out, self.tmp)
+
+    def state(self, out: np.ndarray) -> np.ndarray:
+        """The state, written into the column-major (n, 2) array out."""
+        for p in range(2):
+            self.column(p, out[:, p])
+        return out
+
+    def events(self, rng, r: float, p: int) -> np.ndarray:
+        """_event_paths of column p of the state, read from Y and F."""
+        fa, fb = self.F[p], self.F[2 + p]
+        u = _event_keys(rng, r, max(self.SY[0] * fa + self.SY[1] * fb, 0.0),
+                        lambda: self.column(p).max())
+        if u is None:
+            return _NO_EVENTS
+        if not _block_form(self.n, u.size):
+            return _cumsum_search(self.column(p, self.col), u)
+        edges = np.zeros(self.nb + 1)
+        _combine(self.BY[0], self.BY[1], fa, fb, edges[1:])
+        np.cumsum(edges, out=edges)
+        y0, y1 = self.Yb
+
+        def rows(blk):
+            r0, r1 = y0[blk], y1[blk]
+            return _combine(r0, r1, fa, fb, r0, r1)
+
+        return _search_blocks(rows, edges, u)
+
+    def add_marks(self, marks):
+        """Add each (rows, Z) of marks, Z F^{-1} into rows of Y, with F already
+        advanced past the step that drew them."""
+        a, b, c, d = self.F
+        det = a * d - b * c
+        inv = np.array(((d / det, -b / det), (-c / det, a / det)))
+        for idx, Z in marks:
+            _add_marks(idx, Z @ inv, *self.cols)
+        # a block listed twice is summed twice, to the same value
+        touched = (marks[0][0] if len(marks) == 1
+                   else np.concatenate([idx for idx, _ in marks])) // _BLOCK
+        self.BY[:, touched] = self.Yb[:, touched].sum(axis=2)
+        self.SY = self.BY.sum(axis=1).tolist()
+
+
+def _combine(a, b, fa: float, fb: float, out=None, tmp=None) -> np.ndarray:
+    """max(a fa + b fb, 0), without the term of a zero coefficient: x + y 0.0
+    is x itself, up to the sign of a zero, which the clamp clears."""
+    if fa == 0.0:
+        a, fa, b, fb = b, fb, a, 0.0
+    out = np.multiply(a, fa, out=out)
+    if fb != 0.0:
+        out += np.multiply(b, fb, out=tmp)
+    return np.maximum(out, 0.0, out=out)
+
+
 # -- collectors -------------------------------------------------------------
 
 
 class _TrajectoryCollector:
     """Records every row of the state, one trajectory per row."""
+
+    @staticmethod
+    def points(plan):
+        return None
 
     def begin(self, plan, X):
         self.plan = plan
@@ -531,6 +745,9 @@ class _SnapshotCollector:
     def __init__(self, times):
         self.times = [float(t) for t in times]
 
+    def points(self, plan):
+        return {plan.index_of[t] for t in self.times}
+
     def begin(self, plan, X):
         self.idx = {plan.index_of[t]: t for t in self.times}
         self.snaps = {}
@@ -554,6 +771,12 @@ class _FunctionalCollector:
 
     def __init__(self, zeta):
         self.zeta = zeta
+
+    def points(self, plan):
+        """The weight's atoms, without a density part; else every point."""
+        if any(not sm.density.is_zero for sm in self.zeta.per_type):
+            return None
+        return {plan.index_of[s] for s in self.zeta.atom_times if s in plan.index_of}
 
     def begin(self, plan, X):
         mesh, zeta = plan.mesh, self.zeta
@@ -590,6 +813,10 @@ class _OrderCollector:
         self.h = h
         self.violations = 0
         self.checks = 0
+
+    @staticmethod
+    def points(plan):
+        return None
 
     def begin(self, plan, X):
         pass
@@ -635,12 +862,7 @@ def simulate_ensemble(env: EnvSpec, x0, t: float, checkpoints, lam_grid, n_paths
     rng = noise.substream("ensemble")
     plan = _StepPlan(env, t0, t, opts, checkpoints=checkpoints)
     snap = _SnapshotCollector(checkpoints)
-    if plan.draws_nothing:
-        # every row takes the same exact steps: step one and tile its snapshots
-        _run(plan, _tile(x0, 1), rng, (snap,))
-        snap.snaps = {cp: np.tile(X, (n_paths, 1)) for cp, X in snap.snaps.items()}
-    else:
-        _run(plan, _tile(x0, n_paths), rng, (snap,))
+    _run(plan, _tile(x0, n_paths), rng, (snap,))
 
     k = len(checkpoints)
     mean = np.empty((k, 2))

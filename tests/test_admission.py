@@ -78,6 +78,8 @@ CASES = {
                                                          (1.0, 1.0)),
     "nan-step": lambda: SimOptions(step=NAN),
     "nan-small_jump_eps": lambda: SimOptions(small_jump_eps=NAN),
+    "inf-step": lambda: SimOptions(step=INF),
+    "inf-small_jump_eps": lambda: SimOptions(small_jump_eps=INF),
     # the time-window rule, Monte Carlo and analytic alike
     **{f"t-past-horizon-{k}": f for k, f in _mc(t=1.5).items()},
     "nan-t-simulate_path": _mc(t=NAN)["simulate_path"],

@@ -492,6 +492,43 @@ def test_malformed_zeta_is_a_usage_error_for_every_subcommand(argv, tmp_path, ca
     assert capsys.readouterr().err == "bibranch: zeta must carry one block per type\n"
 
 
+@pytest.mark.parametrize("key, value", [
+    ("zeta", {"a": 1, "b": 2}), ("zeta", "ab"), ("zeta", [1, 2]),
+    ("types", {"a": {}, "b": {}}), ("types", "ab"), ("types", [{}, {}, {}]), ("types", None),
+], ids=["zeta-object", "zeta-string", "zeta-numbers", "types-object", "types-string",
+        "types-three", "types-missing"])
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["cumulant"], ["moments"], ["extinction"],
+    ["simulate", "--paths", "8", "--step", "0.1"], ["functional"],
+    ["verify", "--threads", "1", "--scenario"],
+], ids=["validate", "cumulant", "moments", "extinction", "simulate", "functional", "verify"])
+def test_per_type_block_of_another_shape_is_a_usage_error(argv, key, value, tmp_path, capsys):
+    cfg = json.loads(FELLER.read_text())
+    if value is None:
+        del cfg[key]
+    else:
+        cfg[key] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    assert main([*argv, str(p)]) == 1
+    assert capsys.readouterr().err == f"bibranch: {key} must carry one block per type\n"
+
+
+@pytest.mark.parametrize("key, flag", [("step", True), ("step", False),
+                                       ("small_jump_eps", False)])
+def test_infinite_step_or_small_jump_eps_is_a_usage_error(key, flag, tmp_path, capsys):
+    # an infinite step ran one Euler step per span, and an infinite threshold
+    # dropped every tail jump
+    cfg = json.loads(FELLER.read_text())
+    if not flag:
+        cfg["run"][key] = 1e400  # json writes Infinity, which Python's json reads
+    p = tmp_path / "inf.json"
+    p.write_text(json.dumps(cfg))
+    argv = ["simulate", str(p), "--paths", "100"] + (["--step", "inf"] if flag else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"bibranch: {key} must be positive and finite, got inf\n"
+
+
 def test_simulation_defaults_are_the_fields_of_sim_options():
     args = cli.build_parser().parse_args(["simulate", str(FELLER)])
     assert cli._sim_options(args, {}) == SimOptions()

@@ -5,27 +5,33 @@ import numpy as np
 import pytest
 
 from bibranch.cumulant import extinction_prob, solve_backward
-from bibranch.densities import Density
+from bibranch.densities import Density, SignedMeasure1D
 from bibranch.environment import JumpKernel, validate
+from bibranch.functionals import WeightMeasure
 from bibranch.measures import Dirac, ExpProduct, StableAxis
 from bibranch.moments import first_moment
 from bibranch.noise import NoiseStream
-from bibranch.verify import dirac_cross_env
+from bibranch.verify import atom_rich_env, dirac_cross_env, stable_jump_env
 from bibranch import simulate
 from bibranch.simulate import (
     SimOptions,
     SimulationError,
     _INDEPENDENT,
     _Coupled,
+    _FunctionalCollector,
     _OrderCollector,
     _SnapshotCollector,
     _StepPlan,
+    _TrajectoryCollector,
     _Work,
     _block_search,
     _event_paths,
     _euler_step,
     _pair_start,
     _run,
+    _run_eager,
+    _run_flow,
+    _takes_flow,
     _tile,
     coupled_order_violations,
     coupled_pair,
@@ -725,3 +731,150 @@ def test_lambda_grid_empty_or_pairs_runs():
         stats = simulate_ensemble(env, (1.0, 0.5), 0.5, (0.5,), grid, 16, opts, NoiseStream(5))
         assert stats.lambdas.shape == shape and stats.laplace.shape == (1, shape[0])
         assert stats.lambdas.dtype == np.float64 and stats.lambdas.flags.c_contiguous
+
+
+# -- the flow form of diffusion-free plans ----------------------------------------
+
+_FUNCTIONAL_ATOMS = WeightMeasure((atoms_only((0.4, 0.6)), atoms_only((0.7, 0.5))))
+# the functional-atoms scenario's weights, and a density that makes every point a read
+_RAMP = WeightMeasure((SignedMeasure1D(Density.piecewise_linear([(0.0, 0.0), (1.0, 1.0)]), ()),
+                       atoms_only((0.7, 0.5))))
+
+
+def _both_forms(env, x0, n, times, monkeypatch, zeta=None, seed=61):
+    """The eager step and the flow form on one stream: per form, the rows of
+    every mark scatter, the snapshots, the functional and the final state."""
+    add_marks, out = simulate._add_marks, []
+    for run in (_run_eager, _run_flow):
+        rows = []
+        monkeypatch.setattr(simulate, "_add_marks",
+                            lambda idx, *a: rows.append(idx.copy()) or add_marks(idx, *a))
+        plan = _StepPlan(env, 0.0, 1.0, SimOptions(step=1e-3), checkpoints=times, zeta=zeta)
+        snap = _SnapshotCollector(times)
+        colls = (snap,) if zeta is None else (snap, _FunctionalCollector(zeta))
+        assert _takes_flow(plan, _INDEPENDENT, colls)
+        X = run(plan, _tile(x0, n), NoiseStream(seed).substream("s"), colls)
+        A = colls[-1].A if zeta is not None else np.zeros(0)
+        out.append((rows, [snap.snaps[t] for t in times] + [X, A]))
+    return out
+
+
+def _assert_close(eager, flow):
+    # within 1e-12 relative, entry by entry, so with the same zeros
+    assert np.array_equal(eager == 0.0, flow == 0.0)
+    assert np.all(np.abs(flow - eager) <= 1e-12 * np.abs(eager))
+    assert not np.any(np.signbit(flow))
+
+
+@pytest.mark.parametrize("case", ["dirac-cross", "atom-rich", "functional-atoms"])
+def test_flow_form_agrees_with_the_eager_step(case, monkeypatch):
+    # dirac-cross from (0, 1): type 1 stays exactly 0 until a mark reaches it;
+    # atom-rich read at its full bottleneck of type 1 at 0.6
+    env, x0, times, zeta = {
+        "dirac-cross": (dirac_cross_env(), (0.0, 1.0), (0.05, 0.5, 1.0), None),
+        "atom-rich": (atom_rich_env(), (1.0, 1.0), (0.4, 0.6, 1.0), None),
+        "functional-atoms": (dirac_cross_env(), (0.0, 1.0), (1.0,), _FUNCTIONAL_ATOMS),
+    }[case]
+    (rows_e, states_e), (rows_f, states_f) = _both_forms(env, x0, 2000, times, monkeypatch,
+                                                         zeta)
+    assert len(rows_e) == len(rows_f) > 0
+    assert all(np.array_equal(a, b) for a, b in zip(rows_e, rows_f))
+    for a, b in zip(states_e, states_f):
+        _assert_close(a, b)
+    assert any(np.any(a == 0.0) for a in states_e[:-1])
+
+
+@pytest.mark.parametrize("x0, search", [((1.0, 1.0), "_search_blocks"),
+                                       ((30.0, 30.0), "_cumsum_search")])
+def test_flow_form_agrees_across_its_event_searches(x0, search, monkeypatch):
+    # 8192 paths in 128 blocks: mostly about 15 events per step, which search
+    # their blocks, or about 450, which form their column and search one cumsum
+    # (a dense step); the counts are the eager step's and the flow's together
+    searched = {"_search_blocks": 0, "_cumsum_search": 0}
+    for name in searched:
+        def counted(*a, fn=getattr(simulate, name), name=name):
+            searched[name] += 1
+            return fn(*a)
+        monkeypatch.setattr(simulate, name, counted)
+    (rows_e, states_e), (rows_f, states_f) = _both_forms(dirac_cross_env(), x0, 8192,
+                                                         (0.5, 1.0), monkeypatch)
+    other, = set(searched) - {search}
+    assert searched[search] > 10 * searched[other]
+    assert all(np.array_equal(a, b) for a, b in zip(rows_e, rows_f))
+    for a, b in zip(states_e, states_f):
+        _assert_close(a, b)
+
+
+def test_flow_form_restarts_where_its_map_grows_skewed(monkeypatch):
+    # type 1 decays at rate 60 and feeds type 2, whose marks land on type 1: Y
+    # then carries terms of size exp(60 t) that cancel in Y F, and without the
+    # restarts the state at time 1 was off by a factor 167
+    env = make_env(b11=const(60.0), b12=const(1.0),
+                   m2=JumpKernel(((Density.constant(5.0), Dirac((1.0, 0.0), 1.0)),)))
+    restarts, restart = [], simulate._Flow.restart
+    monkeypatch.setattr(simulate._Flow, "restart",
+                        lambda self, X: restarts.append(1) or restart(self, X))
+    (rows_e, states_e), (rows_f, states_f) = _both_forms(env, (1.0, 1.0), 2000, (0.5, 1.0),
+                                                         monkeypatch)
+    assert len(restarts) > 20
+    assert all(np.array_equal(a, b) for a, b in zip(rows_e, rows_f))
+    for a, b in zip(states_e, states_f):
+        _assert_close(a, b)
+
+
+def test_flow_form_full_bottleneck_gives_exact_zeros():
+    # type 1 takes marks, then a full bottleneck at 0.5 kills every path for good
+    env = make_env(b11=const(0.3) + atoms_only((0.5, 1.0)),
+                   m1=JumpKernel(((Density.constant(1.0), Dirac((0.5, 0.0), 1.0)),)))
+    times = (0.4, 0.5, 1.0)
+    plan = _StepPlan(env, 0.0, 1.0, SimOptions(step=1e-3), checkpoints=times)
+    snap = _SnapshotCollector(times)
+    assert _takes_flow(plan, _INDEPENDENT, (snap,))
+    X = _run_flow(plan, _tile((1.0, 0.0), 3000), NoiseStream(63).substream("s"), (snap,))
+    assert len(np.unique(snap.snaps[0.4][:, 0])) > 10
+    for a in (snap.snaps[0.5], snap.snaps[1.0], X):
+        assert a.tobytes() == np.zeros_like(a).tobytes()
+    stats = simulate_ensemble(env, (1.0, 0.0), 1.0, times, [(1.0, 0.0)], 3000,
+                              SimOptions(step=1e-3), NoiseStream(63))
+    assert stats.extinction.tolist()[1:] == [1.0, 1.0]
+    assert stats.laplace[1:].tolist() == [[1.0], [1.0]]
+
+
+def test_flow_form_keeps_the_jump_count_guard(monkeypatch):
+    # as test_step_overflow_guard_threshold and test_step_overflow_guard_covers_atom_jumps
+    monkeypatch.setattr(simulate, "_JUMP_COUNT_GUARD", 2.0)
+    rng = NoiseStream(65).substream("s")
+    step = make_env(m1=JumpKernel(((Density.constant(1.0), Dirac((1.0, 0.0), 1.0)),)))
+    atom = make_env(m1=JumpKernel((), ((0.5, Dirac((0.0, 1.0), 1.0)),)))
+    for env, t, ok, over in ((step, 0.25, 8.0, 8.5), (atom, 1.0, 2.0, 2.5)):
+        plan = _StepPlan(env, 0.0, t, SimOptions(step=0.25))
+        assert _takes_flow(plan, _INDEPENDENT, ())
+        _run_flow(plan, _tile((ok, 0.0), 10), rng)
+        with pytest.raises(SimulationError, match="step-overflow"):
+            _run_flow(plan, _tile((over, 0.0), 10), rng)
+
+
+def test_which_plans_take_the_flow_form():
+    opts, times = SimOptions(step=5e-3), (0.5, 1.0)
+
+    def takes(env, opts=opts, colls=None, src=_INDEPENDENT, zeta=None):
+        plan = _StepPlan(env, 0.0, 1.0, opts, checkpoints=times, zeta=zeta)
+        return _takes_flow(plan, src, (_SnapshotCollector(times),) if colls is None else colls)
+
+    linear = make_env(b11=const(0.8), b12=const(0.4), b21=const(0.2), b22=const(-0.3))
+    # diffusion-free: draw-free, marks, atoms; dropped small jumps add no Gaussian term
+    for env in (make_env(), linear, dirac_cross_env(), atom_rich_env(), stable_jump_env()):
+        assert takes(env)
+    assert takes(dirac_cross_env(), colls=())
+    # a Gaussian term, or a negative coefficient, makes a column clamped
+    assert not takes(feller_env())
+    assert not takes(stable_jump_env(), SimOptions(step=5e-3, small_jump_mode="gaussian"))
+    assert not takes(make_env(b11=const(1.5 / 5e-3)))
+    # a step map of determinant 0: keep 1 and feed 1 both ways
+    assert not takes(make_env(b12=const(1 / 5e-3), b21=const(1 / 5e-3)))
+    # coupled pairs, and collectors that read every mesh point
+    assert not takes(dirac_cross_env(), src=_Coupled(10))
+    assert not takes(dirac_cross_env(), colls=(_TrajectoryCollector(),))
+    assert not takes(dirac_cross_env(), colls=(_FunctionalCollector(_RAMP),), zeta=_RAMP)
+    assert takes(dirac_cross_env(), colls=(_FunctionalCollector(_FUNCTIONAL_ATOMS),),
+                 zeta=_FUNCTIONAL_ATOMS)
