@@ -19,9 +19,15 @@ total's mass is one sum of the state, and a search is built only once an
 event falls.  With few events among many paths, the paths are cut into
 contiguous blocks, and an event is placed by finding its block among the
 blocks' cumulative sums and then its path among the prefix sums of that block
-only, at O(n / block + events * block); otherwise it is placed by one cumsum
-of all paths.  A step without events draws nothing after its total and builds
-no search.
+only, at O(n / block + events * block).  A dense step among many paths views
+them as a few rows of contiguous paths and visits them column by column: the
+prefix sums down the rows take one vectorised add per row, the column totals
+give the column edges, and an event finds its column among the edges and its
+row by bisection; no sequential pass runs over all paths.  Below a few
+thousand paths a dense step searches one cumsum of all paths.  Every search
+lands an event on path i with probability x_i / mass, whatever order it visits
+the paths in.  A step without events draws nothing after its total and builds
+no search.  The marks are added one event after the other, in event order.
 Power-tail components are split at a threshold eps: exact thinning above, and
 below either the compensated remainder is dropped or replaced by a
 variance-matched Gaussian, s2_i(s) X_i h per step; it and the white noise are
@@ -44,7 +50,7 @@ vectors (products and normals) and rotates through them: a step writes its
 result into a buffer other than the one holding its input, an atom update
 into the third, and the caller's start array is only read.  Drift, noise and
 clamp of independent paths thus allocate nothing of length n; a jump channel
-does only on a step whose events it places by a cumsum of all paths, and so
+does only on a dense step, whose search covers all paths, and so
 does the coupled source when it joins its two sheet normals (drawn into the
 scratch) per copy.  Terms that are zero on the whole mesh (a cross feed) or
 on a whole interval (a weight density) are dropped when the plan is compiled.
@@ -56,10 +62,10 @@ Without a Gaussian term or a negative coefficient, a path between its marks
 and atoms follows only the linear drift: one step maps every row by the same
 2x2 matrix M_k, X_{k+1} = X_k M_k + marks.  The flow form of a run keeps
 Y = X F^{-1} with F = M_0 ... M_{k-1}, advances F as four floats per step,
-and adds a mark Z to its row of Y as Z F^{-1}; the block sums of Y, refreshed
-where marks land, give each column's mass and the event search, so a step
-costs O(1) without events and O(blocks + events * block) with them, instead
-of O(n).  The state max(Y F, 0) is formed only at atoms (which restart the
+and adds a mark Z to its row of Y as Z F^{-1}; the column totals of Y, kept
+from the marks' own sums, give each column's mass, and the block sums of Y,
+refreshed where marks land, the block search, so a step costs O(1) without
+events and O(blocks + events * block) with few, instead of O(n).  The state max(Y F, 0) is formed only at atoms (which restart the
 flow from their update), at the points the collectors read, and where F has
 grown too skewed for Y F to round well.  Independent ensembles and
 functionals without a weight density take it when every M_k has a positive
@@ -259,10 +265,12 @@ class _StepPlan:
 
 
 _BLOCK = 64  # paths per block of the event search
-# search one cumsum of all paths instead when a step has more than one event per
-# _DENSE blocks, or fewer than _FEW_PATHS paths (the blocks' fixed cost)
+# a step with more than one event per _DENSE blocks is dense: it searches all
+# paths, by the strided search from _FEW_PATHS paths on and by one cumsum below
+# (the fixed cost of the blocks and of the rows)
 _DENSE = 8
 _FEW_PATHS = 4096
+_ROWS = 16  # rows of the strided search, a power of two for its bisection
 
 
 def _event_paths(rng, r: float, x: np.ndarray) -> np.ndarray:
@@ -275,15 +283,18 @@ def _event_paths(rng, r: float, x: np.ndarray) -> np.ndarray:
 
     The mass is one reduction of x, and the search is built only once an
     event falls: from _FEW_PATHS paths on, a step with few events searches
-    only the blocks they fall in, at O(n / _BLOCK + events * _BLOCK) instead
-    of the O(n) of one cumsum of all paths, which every other step searches.
+    only the blocks they fall in, at O(n / _BLOCK + events * _BLOCK), and a
+    dense step takes the strided search (_strided_search), whose only pass
+    over all paths is _ROWS - 1 vectorised row adds.  Below _FEW_PATHS paths
+    a step searches one cumsum of all paths.  The indices come in the order
+    the search visits the paths, not sorted.
     """
     u = _event_keys(rng, r, float(x.sum()), x.max)
     if u is None:
         return _NO_EVENTS
     if _block_form(x.size, u.size):
         return _block_search(x, _block_edges(x), u)
-    return _cumsum_search(x, u)
+    return _dense_search(x, u)
 
 
 _NO_EVENTS = np.empty(0, dtype=np.intp)
@@ -311,12 +322,81 @@ def _block_form(n: int, k: int) -> bool:
     return n >= _FEW_PATHS and k * _DENSE <= -(-n // _BLOCK)
 
 
+def _dense_search(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Path of each sorted key u in [0, mass] on a dense step: the strided
+    search from _FEW_PATHS paths on, one cumsum of all paths below."""
+    if x.size < _FEW_PATHS:
+        return _cumsum_search(x, u)
+    return _strided_search(x, u)
+
+
 def _cumsum_search(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Path of each sorted key u in [0, mass], by one cumsum of all paths."""
     cum = np.cumsum(x)
     idx = np.searchsorted(cum, u, side="right")
     # a key at or past the last boundary (rounding) goes to the last positive path
     return np.minimum(idx, np.searchsorted(cum, cum[-1], side="left"), out=idx)
+
+
+def _strided_sums(x: np.ndarray):
+    """The strided layout of x: its first m = _ROWS * nb paths as _ROWS rows of
+    nb contiguous paths, visited column by column, and the n - m tail paths
+    as one last column.  Returns the (_ROWS, nb) prefix sums down the rows,
+    the prefix sums of the tail, and the column edges: 0 and the cumulative
+    sums of the column totals, in column order."""
+    n = x.size
+    nb = n // _ROWS
+    m = nb * _ROWS
+    rows = x[:m].reshape(_ROWS, nb)
+    P = np.empty((_ROWS, nb))
+    P[0] = rows[0]
+    for r in range(1, _ROWS):
+        np.add(P[r - 1], rows[r], out=P[r])
+    tail = np.cumsum(x[m:])
+    edges = np.zeros(nb + 1 + (m < n))
+    edges[1:nb + 1] = P[-1]
+    edges[nb + 1:] = tail[-1:]
+    return P, tail, np.cumsum(edges, out=edges)
+
+
+def _strided_search(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Path of each sorted key u in [0, mass], visiting the paths column by
+    column in the strided layout (_strided_sums): a key finds its column by
+    one search of the column edges and its row by bisection over log2(_ROWS)
+    gathers of the column's prefix sums.
+
+    A boundary inside a column is its lower edge plus a prefix sum, and its
+    top boundary is the upper edge itself, so a key below that edge stays in
+    the column and lands on a path of positive mass.
+    """
+    P, tail, edges = _strided_sums(x)
+    nb = P.shape[1]
+    if u[-1] >= edges[-1]:
+        # a key at or past the last edge (rounding) goes to the last positive path:
+        # the largest float below that edge falls on it
+        u = np.minimum(u, np.nextafter(edges[-1], 0.0))
+    # the keys of the tail column come last
+    t = int(np.searchsorted(u, edges[nb], side="left")) if tail.size else u.size
+    head = u[:t]
+    # the flat index r * nb + c into P of row r and column c is the path, here
+    # with the key's column c and row r = 0
+    path = np.searchsorted(edges[1:], head, side="right")
+    low = edges[path]
+    probe, bound, past = np.empty_like(path), np.empty(t), np.empty(t, dtype=bool)
+    flat = P.reshape(-1)
+    step = _ROWS // 2
+    while step:
+        # the key lies at or past the boundary of row r + step - 1: skip step rows
+        np.add(path, (step - 1) * nb, out=probe)
+        np.take(flat, probe, out=bound)
+        bound += low
+        np.less_equal(bound, head, out=past)
+        path += np.multiply(past, step * nb, out=probe)
+        step //= 2
+    if t == u.size:
+        return path
+    in_tail = np.searchsorted(tail + edges[nb], u[t:], side="right")
+    return np.concatenate([path, in_tail + (x.size - tail.size)])
 
 
 def _block_edges(x: np.ndarray) -> np.ndarray:
@@ -374,27 +454,11 @@ def _search_blocks(block_rows, edges: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _add_marks(idx, Z, out0, out1):
-    """Add mark Z[e] to row idx[e] of (out0, out1); idx is sorted.
-
-    The marks of each distinct row are summed by ``bincount`` over the rows'
-    ranks, in event order from 0.0, and added to that row only: bit for bit
-    the full-length ``out += bincount(idx, ...)`` on every row with events.
-    The two differ only on a -0.0 entry without events, and no state holds
-    -0.0 (module docstring).
-    """
-    first = np.empty(idx.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(idx[1:], idx[:-1], out=first[1:])
-    if first.all():
-        # distinct rows: each bincount entry would be 0.0 + Z[e], that is Z[e]
-        out0[idx] += Z[:, 0]
-        out1[idx] += Z[:, 1]
-        return
-    rank = np.cumsum(first)
-    rank -= 1
-    rows = idx[first]
-    out0[rows] += np.bincount(rank, weights=Z[:, 0], minlength=rows.size)
-    out1[rows] += np.bincount(rank, weights=Z[:, 1], minlength=rows.size)
+    """Add mark Z[e] to row idx[e] of (out0, out1), one event after the other
+    in event order: bit for bit the loop ``out[idx[e]] += Z[e]``.  Rows come
+    in any order and may repeat; rows without events are left untouched."""
+    np.add.at(out0, idx, Z[:, 0])
+    np.add.at(out1, idx, Z[:, 1])
 
 
 def _noise_term(coef: float, x, rng, g=None, z=None):
@@ -451,7 +515,6 @@ class _Coupled:
             u = rng.random(idx.size) * top[idx]
             Z = sample(rng, idx.size)
             low, high = u < x[:h][idx], u < x[h:][idx]
-            # low rows come first, so the joined rows stay sorted
             rows = np.concatenate([idx[low], idx[high] + h])
             if rows.size:
                 _add_marks(rows, np.concatenate([Z[low], Z[high]]), out0, out1)
@@ -612,14 +675,16 @@ class _Flow:
 
     Between marks every path takes the same step X -> X M_k, so the run keeps
     F = M_0 ... M_{k-1} as four floats and Y = X F^{-1} fixed; a mark Z joins
-    its row of Y as Z F^{-1}.  Y has its rows zero-padded to whole blocks of
-    _BLOCK, with the block sums BY of each column refreshed on the blocks that
-    marks touch and their total SY kept with them: the block sums of column p
-    of X are BY . F[:, p] and its mass SY . F[:, p], so a step without events
-    costs O(1) and one with events O(blocks + events * _BLOCK).  A state entry
-    is clamped at 0 where rounding takes its combination below (the true X is
-    nonnegative), and a combination leaves out the term of a zero entry of F,
-    so a triangular F keeps zeros exact.
+    its row of Y as Z F^{-1}.  The column totals SY of Y grow by the sums of
+    the marks, and the mass of column p of X is SY . F[:, p].  Y has its rows
+    zero-padded to whole blocks of _BLOCK, and from _FEW_PATHS paths on, where
+    the block search runs, the block sums BY of each column are refreshed on
+    the blocks that marks touch: the block sums of column p of X are
+    BY . F[:, p].  A step without events costs O(1) and one with few events
+    O(blocks + events * _BLOCK).  A state entry is clamped at 0 where rounding
+    takes its combination below (the true X is nonnegative), and a combination
+    leaves out the term of a zero entry of F, so a triangular F keeps zeros
+    exact.
     """
 
     def __init__(self, X: np.ndarray):
@@ -669,7 +734,7 @@ class _Flow:
         if u is None:
             return _NO_EVENTS
         if not _block_form(self.n, u.size):
-            return _cumsum_search(self.column(p, self.col), u)
+            return _dense_search(self.column(p, self.col), u)
         edges = np.zeros(self.nb + 1)
         _combine(self.BY[0], self.BY[1], fa, fb, edges[1:])
         np.cumsum(edges, out=edges)
@@ -688,12 +753,16 @@ class _Flow:
         det = a * d - b * c
         inv = np.array(((d / det, -b / det), (-c / det, a / det)))
         for idx, Z in marks:
-            _add_marks(idx, Z @ inv, *self.cols)
+            W = Z @ inv
+            _add_marks(idx, W, *self.cols)
+            s0, s1 = W.sum(axis=0).tolist()
+            self.SY = [self.SY[0] + s0, self.SY[1] + s1]
+        if self.n < _FEW_PATHS:
+            return  # no block search reads the block sums
         # a block listed twice is summed twice, to the same value
         touched = (marks[0][0] if len(marks) == 1
                    else np.concatenate([idx for idx, _ in marks])) // _BLOCK
         self.BY[:, touched] = self.Yb[:, touched].sum(axis=2)
-        self.SY = self.BY.sum(axis=1).tolist()
 
 
 def _combine(a, b, fa: float, fb: float, out=None, tmp=None) -> np.ndarray:

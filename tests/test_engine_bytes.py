@@ -6,6 +6,12 @@ atom update and the collectors.  ``dirac-cross``, ``atom-rich`` and
 ``draw-free`` run diffusion-free plans in the flow form (a 2x2 map per step,
 marks added to the rows they hit); ``feller``, ``stable-gaussian``,
 ``coupled-batch`` and ``functional`` (a weight density) run the eager step.
+At 2000 rows, below ``_FEW_PATHS``, every case places the events of a step by
+one cumsum of all paths: neither the block search nor the strided search
+runs here, and both are checked index for index against sequential cumsums in
+``test_simulate.py``.  ``stable-gaussian`` and ``coupled-batch`` put several
+marks on one row in a step, so their digests pin the order of the mark add
+(one mark after the other, in event order).
 Any change to the inner loop that reorders a floating-point sum, switches a
 reduction to another memory layout or draws the random stream in another
 order changes a digest.  They hold for NumPy 2.x's
@@ -112,11 +118,11 @@ CASES = {
     "dirac-cross": (lambda: _ensemble(dirac_cross_env(), (1.0, 1.0), seed=2),
                     "9d0b7b3255676baa"),
     "stable-gaussian": (lambda: _ensemble(stable_jump_env(), (1.0, 0.0), mode="gaussian",
-                                          seed=3), "2ac1dd96b4cb804d"),
+                                          seed=3), "8f1ebe40e493009b"),
     "atom-rich": (lambda: _ensemble(atom_rich_env(), (1.0, 1.0), (0.4, 0.7, 1.0), seed=4),
                   "9b20ce203118acca"),
     "draw-free": (_draw_free, "dd2ee5b9b5a8d9be"),
-    "coupled-batch": (_coupled_batch, "db9f1897a41f1eda"),
+    "coupled-batch": (_coupled_batch, "1b07cc02c7cbbb36"),
     "functional": (_functionals, "223440f2dc5fa462"),
 }
 
@@ -180,19 +186,46 @@ def _scatter_matches_bincount(idx, Z, out0, out1):
     return ref0, ref1
 
 
-@pytest.mark.parametrize("kind", ["unique", "repeated", "zero-coordinate"])
+def _scatter_matches_the_loop(idx, Z, out0, out1):
+    """The reference of the mark add: one mark after the other, in event order."""
+    ref0, ref1 = out0.copy(), out1.copy()
+    for e, i in enumerate(idx.tolist()):
+        ref0[i] += Z[e, 0]
+        ref1[i] += Z[e, 1]
+    _add_marks(idx, Z, out0, out1)
+    return ref0, ref1
+
+
+@pytest.mark.parametrize("kind", ["unique", "zero-coordinate"])
 def test_add_marks_equals_bincount_bitwise(kind):
+    # on distinct rows each mark is added once, so bincount's sums from 0.0 agree
     rng = np.random.default_rng(71)
     n = 1000
     out = np.asfortranarray(rng.uniform(0.0, 3.0, size=(n, 2)))
-    if kind == "repeated":
-        idx = np.sort(rng.integers(0, 40, size=300))
-        assert np.any(idx[1:] == idx[:-1])
-    else:
-        idx = np.sort(rng.choice(n, size=100, replace=False))
+    idx = np.sort(rng.choice(n, size=100, replace=False))
     meas = Dirac((0.4, 0.0), 1.0) if kind == "zero-coordinate" else ExpProduct(3.0, 2.0, 0.5)
     Z = meas.sample(rng, idx.size)
     ref0, ref1 = _scatter_matches_bincount(idx, Z, out[:, 0], out[:, 1])
+    assert ref0.tobytes() == out[:, 0].tobytes()
+    assert ref1.tobytes() == out[:, 1].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["repeated", "unsorted", "unsorted-unique"])
+def test_add_marks_equals_the_sequential_loop_bitwise(kind):
+    rng = np.random.default_rng(71)
+    n = 1000
+    out = np.asfortranarray(rng.uniform(0.0, 3.0, size=(n, 2)))
+    if kind == "unsorted-unique":
+        idx = rng.choice(n, size=100, replace=False)
+    else:
+        idx = rng.integers(0, 40, size=300)
+        assert np.unique(idx).size < idx.size
+    if kind == "repeated":
+        idx = np.sort(idx)
+    else:
+        assert np.any(np.diff(idx) < 0)
+    Z = ExpProduct(3.0, 2.0, 0.5).sample(rng, idx.size)
+    ref0, ref1 = _scatter_matches_the_loop(idx, Z, out[:, 0], out[:, 1])
     assert ref0.tobytes() == out[:, 0].tobytes()
     assert ref1.tobytes() == out[:, 1].tobytes()
 
@@ -204,9 +237,9 @@ def test_add_marks_writes_through_a_coupled_row_slice():
     before = X.copy()
     rows = slice(h, 2 * h)
     for idx in (np.sort(rng.choice(h, size=60, replace=False)),
-                np.sort(rng.integers(0, h, size=60))):
+                np.sort(rng.integers(0, h, size=60)), rng.integers(0, h, size=60)):
         Z = ExpProduct(3.0, 2.0, 0.5).sample(rng, idx.size)
-        ref0, ref1 = _scatter_matches_bincount(idx, Z, X[rows, 0], X[rows, 1])
+        ref0, ref1 = _scatter_matches_the_loop(idx, Z, X[rows, 0], X[rows, 1])
         assert ref0.tobytes() == X[rows, 0].tobytes()
         assert ref1.tobytes() == X[rows, 1].tobytes()
     assert np.array_equal(X[:h], before[:h])
@@ -214,17 +247,19 @@ def test_add_marks_writes_through_a_coupled_row_slice():
 
 
 @pytest.mark.parametrize("coupled", [False, True])
-def test_add_marks_many_repeats_equal_bincount_bitwise(coupled):
-    # 5000 events on 10 000 rows: runs of up to ~20 marks on a few rows, single ones elsewhere
+def test_add_marks_many_repeats_equal_the_sequential_loop_bitwise(coupled):
+    # 5000 events on 10 000 rows: runs of up to ~20 marks on a few rows, single
+    # ones elsewhere, in the unsorted order of the strided search
     rng = np.random.default_rng(75)
     n = 10_000
     X = np.asfortranarray(rng.uniform(0.0, 3.0, size=(2 * n if coupled else n, 2)))
     before = X.copy()
     rows = slice(n, 2 * n) if coupled else slice(0, n)
-    idx = np.sort(np.concatenate([rng.integers(0, 200, size=4000),
-                                  rng.choice(np.arange(200, n), size=1000, replace=False)]))
+    idx = rng.permutation(np.concatenate([rng.integers(0, 200, size=4000),
+                                          rng.choice(np.arange(200, n), size=1000,
+                                                     replace=False)]))
     Z = ExpProduct(3.0, 2.0, 0.5).sample(rng, idx.size)
-    ref0, ref1 = _scatter_matches_bincount(idx, Z, X[rows, 0], X[rows, 1])
+    ref0, ref1 = _scatter_matches_the_loop(idx, Z, X[rows, 0], X[rows, 1])
     assert ref0.tobytes() == X[rows, 0].tobytes()
     assert ref1.tobytes() == X[rows, 1].tobytes()
     if coupled:
@@ -232,13 +267,14 @@ def test_add_marks_many_repeats_equal_bincount_bitwise(coupled):
 
 
 def test_add_marks_negative_zero_away_from_events_is_cleared_by_the_clamp():
-    # bincount adds +0.0 to every entry, turning -0.0 into +0.0; the sparse
-    # add leaves entries without events alone.  A clamped column maps both to
+    # bincount adds +0.0 to every entry, turning -0.0 into +0.0; the mark add
+    # leaves entries without events alone.  A clamped column maps both to
     # +0.0, and an unclamped one never holds -0.0, so the state bytes agree.
     out = np.array([-0.0, 1.0, -0.0, 2.0])
     idx, Z = np.array([1, 2]), np.array([[0.5, 0.5], [0.25, 0.0]])
     ref0, _ = _scatter_matches_bincount(idx, Z, out, np.zeros(4))
     assert np.array_equal(ref0, out)
+    assert np.signbit(out[0]) and not np.signbit(ref0[0])
     assert np.maximum(ref0, 0.0).tobytes() == np.maximum(out, 0.0).tobytes()
 
 

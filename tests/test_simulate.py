@@ -407,6 +407,7 @@ def test_event_paths_without_events_builds_no_search(n, monkeypatch):
         raise AssertionError("a search was built for a step without events")
 
     monkeypatch.setattr(simulate, "_block_edges", built)
+    monkeypatch.setattr(simulate, "_strided_sums", built)
     monkeypatch.setattr(np, "cumsum", built)
     assert _event_paths(_NoEventRng(), 1e-3, np.full(n, 0.5)).size == 0
 
@@ -472,8 +473,12 @@ def test_event_paths_extreme_uniforms_land_on_positive_paths(u, x, path):
 # -- event placement on many blocks ---------------------------------------------
 
 B = simulate._BLOCK
-# force the search of each event's block, or the one cumsum of all paths
-FORMS = {"block": {"_DENSE": 0, "_FEW_PATHS": 0}, "full": {"_DENSE": 10**9}}
+R = simulate._ROWS
+# force the search of each event's block, the strided search of all paths, or
+# the one cumsum of all paths
+FORMS = {"block": {"_DENSE": 0, "_FEW_PATHS": 0},
+         "strided": {"_DENSE": 10**9, "_FEW_PATHS": 0},
+         "full": {"_DENSE": 10**9, "_FEW_PATHS": 10**9}}
 
 
 def _force(form, monkeypatch):
@@ -481,15 +486,25 @@ def _force(form, monkeypatch):
         monkeypatch.setattr(simulate, name, value)
 
 
+def _strided_order(n):
+    """The paths column by column of the strided layout, the tail column last."""
+    m = n - n % R
+    return np.concatenate([np.arange(m).reshape(R, m // R).T.ravel(), np.arange(m, n)])
+
+
 def _sequential_event_paths(rng, r, x):
-    """The placement by one sequential cumsum of all paths."""
-    cum = np.cumsum(x)
-    mass = cum[-1] if cum.size else 0.0
+    """The placement by one sequential cumsum of all paths, taken in the order
+    the engine visits them: column by column of the strided layout on a dense
+    step from _FEW_PATHS paths on, in index order otherwise."""
+    mass = float(np.cumsum(x)[-1]) if x.size else 0.0
     if mass == 0.0:
         return np.empty(0, dtype=np.intp)
     u = np.sort(rng.random(rng.poisson(r * mass))) * mass
+    strided = x.size >= simulate._FEW_PATHS and not simulate._block_form(x.size, u.size)
+    order = _strided_order(x.size) if strided else np.arange(x.size)
+    cum = np.cumsum(x[order])
     idx = np.searchsorted(cum, u, side="right")
-    return np.minimum(idx, np.searchsorted(cum, mass, side="left"))
+    return order[np.minimum(idx, np.searchsorted(cum, cum[-1], side="left"))]
 
 
 def _patchy_state(n, seed):
@@ -505,8 +520,10 @@ def _patchy_state(n, seed):
     return x
 
 
+# B - 1, B and B + 1 are also R k + R - 1, R k and R k + 1; 10 000 has no tail
+# column, 25 000 a tail of 8 paths
 @pytest.mark.parametrize("form", [None, *FORMS])
-@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 5, 10_000])
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 5, 10_000, 25_000])
 def test_event_paths_match_the_sequential_cumsum(n, form, monkeypatch):
     if form is not None:
         _force(form, monkeypatch)
@@ -541,22 +558,39 @@ def test_event_paths_counts_are_independent_poisson_across_blocks(form, monkeypa
     assert np.all(np.abs(c.var(axis=0, ddof=1) - lam) < 4 * se_var)
 
 
-@pytest.mark.parametrize("total, form", [(2.0, "block"), (400.0, "cumsum")])
+def _count_searches(monkeypatch, names):
+    """Count the calls of each named event search."""
+    searched = dict.fromkeys(names, 0)
+    for name in searched:
+        def counted(*a, fn=getattr(simulate, name), name=name):
+            searched[name] += 1
+            return fn(*a)
+        monkeypatch.setattr(simulate, name, counted)
+    return searched
+
+
+@pytest.mark.parametrize("total, form", [(2.0, "block"), (400.0, "cumsum"),
+                                         (400.0, "strided")])
 def test_event_paths_counts_are_poisson_on_many_paths(total, form, monkeypatch):
     # n = 8192 paths in 128 blocks: about 2 events per step take the block
-    # search, about 400 the cumsum of all paths
-    n, reps = 8192, {"block": 10_000, "cumsum": 100}[form]
+    # search, about 400 the strided search, or the cumsum of all paths where
+    # the strided search is held off
+    n, reps = 8192, {"block": 10_000, "cumsum": 100, "strided": 100}[form]
+    if form == "cumsum":
+        _force("full", monkeypatch)
     x = _patchy_state(n, seed=53)
     r = total / x.sum()
-    searched, block_search = [], simulate._block_search
-    monkeypatch.setattr(simulate, "_block_search",
-                        lambda *a: searched.append(1) or block_search(*a))
+    searched = _count_searches(monkeypatch, ("_block_search", "_strided_search",
+                                             "_cumsum_search"))
     rng, counts, fired = np.random.default_rng(59), np.zeros(n), 0
     for _ in range(reps):
         idx = _event_paths(rng, r, x)
         fired += idx.size > 0
         counts += np.bincount(idx, minlength=n)
-    assert len(searched) == (fired if form == "block" else 0)
+    ran = {"block": "_block_search", "cumsum": "_cumsum_search",
+           "strided": "_strided_search"}[form]
+    assert fired > 0
+    assert searched == {name: fired if name == ran else 0 for name in searched}
     live = x > 0
     assert not counts[~live].any()
     # path i's count over the reps is Poisson(reps * r * x_i): its chi-square
@@ -589,6 +623,43 @@ def test_event_paths_extreme_uniforms_land_on_positive_paths_across_blocks(
     idx = _event_paths(_ConstUniformRng(u), 1.0 / 7.0, x)
     assert idx.size == 7
     assert np.all(idx == path)
+
+
+@pytest.mark.parametrize("u, x, path", [
+    # R k + 3 paths with zero columns 2 to 7 and a zero tail: column 0 (path 40,
+    # in row 5) is visited before column 1 (path 1, in row 0)
+    (0.0, _multi_block(8 * R + 3, {1: 1.5, 5 * 8: 3.0}), 5 * 8),
+    (1.0 - 2.0 ** -53, _multi_block(8 * R + 3, {1: 1.5, 5 * 8: 3.0}), 1),
+    # subnormal masses, inside a column and in the tail column
+    (1.0 - 2.0 ** -53, _multi_block(8 * R + 3, {3 * 8 + 6: 5e-324}), 3 * 8 + 6),
+    (1.0 - 2.0 ** -53, _multi_block(8 * R + 3, {8 * R + 2: 5e-324}), 8 * R + 2),
+    # zero columns only ahead of the tail
+    (0.0, _multi_block(8 * R + 3, {8 * R + 1: 2.0}), 8 * R + 1),
+    # no tail column: the last positive path is the last one visited, in column 7
+    (1.0 - 2.0 ** -53, _multi_block(8 * R, {8: 1.0, 7: 2.0}), 7),
+])
+def test_strided_search_extreme_uniforms_land_on_positive_paths(u, x, path, monkeypatch):
+    _force("strided", monkeypatch)
+    idx = _event_paths(_ConstUniformRng(u), 1.0 / 7.0, x)
+    assert idx.size == 7
+    assert np.all(idx == path)
+    assert np.all(x[idx] > 0.0)
+
+
+@pytest.mark.parametrize("n", [8192, 25_000, 100_000])
+def test_dense_steps_on_many_paths_take_the_strided_search(n, monkeypatch):
+    # the suite's densest steps, about 0.06 events per path, in both run forms;
+    # 25 000 is not a multiple of R, so its tail column is searched too
+    searched = _count_searches(monkeypatch, ("_block_search", "_search_blocks",
+                                             "_strided_search", "_cumsum_search"))
+    x = _patchy_state(n, seed=67)
+    r = 0.06 * n / x.sum()
+    rng = np.random.default_rng(67)
+    assert _event_paths(rng, r, x).size > 0
+    flow = simulate._Flow(np.column_stack([x, np.zeros(n)]))
+    assert flow.events(rng, r, 0).size > 0
+    assert searched == {"_block_search": 0, "_search_blocks": 0, "_strided_search": 2,
+                        "_cumsum_search": 0}
 
 
 def test_block_search_key_past_its_row_goes_to_the_last_positive_path():
@@ -785,19 +856,16 @@ def test_flow_form_agrees_with_the_eager_step(case, monkeypatch):
 
 
 @pytest.mark.parametrize("x0, search", [((1.0, 1.0), "_search_blocks"),
-                                       ((30.0, 30.0), "_cumsum_search")])
+                                       ((30.0, 30.0), "_strided_search")])
 def test_flow_form_agrees_across_its_event_searches(x0, search, monkeypatch):
     # 8192 paths in 128 blocks: mostly about 15 events per step, which search
-    # their blocks, or about 450, which form their column and search one cumsum
-    # (a dense step); the counts are the eager step's and the flow's together
-    searched = {"_search_blocks": 0, "_cumsum_search": 0}
-    for name in searched:
-        def counted(*a, fn=getattr(simulate, name), name=name):
-            searched[name] += 1
-            return fn(*a)
-        monkeypatch.setattr(simulate, name, counted)
+    # their blocks, or about 450, which form their column and take the strided
+    # search (a dense step); the counts are the eager step's and the flow's together
+    searched = _count_searches(monkeypatch, ("_search_blocks", "_strided_search",
+                                             "_cumsum_search"))
     (rows_e, states_e), (rows_f, states_f) = _both_forms(dirac_cross_env(), x0, 8192,
                                                          (0.5, 1.0), monkeypatch)
+    assert searched.pop("_cumsum_search") == 0
     other, = set(searched) - {search}
     assert searched[search] > 10 * searched[other]
     assert all(np.array_equal(a, b) for a, b in zip(rows_e, rows_f))
