@@ -513,7 +513,8 @@ def _piece_from_infinity(env, rhs, lo, hi, v, neg_tol):
     positive cross drift by one that is (a blow-up feeds a non-integrable
     rate).  A hot component with a super-linear term comes down on the piece
     and is integrated in y = v^(1 - beta) from y(hi - h) = (beta - 1) times
-    the integral of kappa over [hi - h, hi], the leading-order asymptote; the
+    the integral of kappa over [hi - h, hi], the leading-order asymptote, or
+    from the larger v of its balance with the feed of a faster blow-up; the
     flow contracts the start error.  One without, or one fed through a
     positive cross drift by a component that stays infinite, stays infinite.
     Returns the segment and the value at lo.
@@ -545,6 +546,14 @@ def _piece_from_infinity(env, rhs, lo, hi, v, neg_tol):
     y0 = np.array([0.0 if i in stuck
                    else (beta[i] - 1.0) * order[i][1].integral(r0, hi) if i in blow
                    else v[i] for i in range(2)])
+    for i in blow:
+        # a faster blow-up of j can feed i above its own asymptote: start i no
+        # lower than the balance kappa_i v_i^beta_i = b_ij v_j at hi (in logs)
+        j, kappa = 1 - i, order[i][1](hi)
+        if fed(i, blow, (hi,)) and kappa > 0.0 and y0[j] > 0.0:
+            log_v = (math.log(env.b[i][j].density(hi)) - power[j] * math.log(y0[j])
+                     - math.log(kappa)) / beta[i]
+            y0[i] = min(y0[i], math.exp((1.0 - beta[i]) * log_v))
 
     def fun(r, y):
         w = [_BIG if i in stuck else (min(y[i], ceiling[i]) ** -power[i]

@@ -19,15 +19,16 @@ total's mass is one sum of the state, and a search is built only once an
 event falls.  With few events among many paths, the paths are cut into
 contiguous blocks, and an event is placed by finding its block among the
 blocks' cumulative sums and then its path among the prefix sums of that block
-only, at O(n / block + events * block).  A dense step among many paths views
-them as a few rows of contiguous paths and visits them column by column: the
-prefix sums down the rows take one vectorised add per row, the column totals
-give the column edges, and an event finds its column among the edges and its
-row by bisection; no sequential pass runs over all paths.  Below a few
-thousand paths a dense step searches one cumsum of all paths.  Every search
-lands an event on path i with probability x_i / mass, whatever order it visits
-the paths in.  A step without events draws nothing after its total and builds
-no search.  The marks are added one event after the other, in event order.
+only, at O(n / block + events * block).  Every other step searches all
+paths, viewed as R rows of ceil(n / R) contiguous paths and visited column by
+column: the prefix sums down the rows take one vectorised add per row, the
+column totals give the column edges, and an event finds its column among the
+edges and its row by bisection.  Among many paths R is 16, and no sequential
+pass runs over all paths; below a few thousand paths R is 1, one cumsum of
+all paths.  Every search lands an event on path i with probability x_i / mass,
+whatever order it visits the paths in.  A step without events draws nothing
+after its total and builds no search.  The marks are added one event after
+the other, in event order.
 Power-tail components are split at a threshold eps: exact thinning above, and
 below either the compensated remainder is dropped or replaced by a
 variance-matched Gaussian, s2_i(s) X_i h per step; it and the white noise are
@@ -188,7 +189,7 @@ class _Channel:
 
 
 # the largest mesh a plan builds: its per-interval arrays (about a dozen float
-# vectors) and its mesh-point index take about 250 MB at this size
+# vectors) hold about 80 MB at this size, and building them peaks near 190 MB
 _MAX_MESH_STEPS = 10 ** 6
 # a step or an atom whose expected jump count on some path exceeds this is a
 # step-overflow
@@ -259,18 +260,20 @@ class _StepPlan:
         self.invertible = bool(np.all(self.lin_keep[0] * self.lin_keep[1]
                                       > self.lin_feed[0] * self.lin_feed[1]))
 
-        atom_times = set(env.atom_times(t0, t))
-        self.atom_at = {k: atom_info(env, s) for k, s in enumerate(self.mesh) if s in atom_times}
-        self.index_of = {float(s): k for k, s in enumerate(self.mesh)}
+        # the mesh index of each hard point, the end of its span (linspace
+        # ends on b exactly); every lookup asks for one
+        ends = np.cumsum([0, *counts]).tolist()
+        self.index_of = {float(s): k for s, k in zip(required, ends)}
+        self.atom_at = {self.index_of[s]: atom_info(env, s) for s in env.atom_times(t0, t)}
 
 
 _BLOCK = 64  # paths per block of the event search
 # a step with more than one event per _DENSE blocks is dense: it searches all
-# paths, by the strided search from _FEW_PATHS paths on and by one cumsum below
-# (the fixed cost of the blocks and of the rows)
+# paths by the prefix search, in _ROWS rows from _FEW_PATHS paths on and in one
+# row below (the fixed cost of the blocks and of the rows)
 _DENSE = 8
 _FEW_PATHS = 4096
-_ROWS = 16  # rows of the strided search, a power of two for its bisection
+_ROWS = 16  # rows of the prefix search, a power of two for its bisection
 
 
 def _event_paths(rng, r: float, x: np.ndarray) -> np.ndarray:
@@ -283,18 +286,18 @@ def _event_paths(rng, r: float, x: np.ndarray) -> np.ndarray:
 
     The mass is one reduction of x, and the search is built only once an
     event falls: from _FEW_PATHS paths on, a step with few events searches
-    only the blocks they fall in, at O(n / _BLOCK + events * _BLOCK), and a
-    dense step takes the strided search (_strided_search), whose only pass
-    over all paths is _ROWS - 1 vectorised row adds.  Below _FEW_PATHS paths
-    a step searches one cumsum of all paths.  The indices come in the order
-    the search visits the paths, not sorted.
+    only the blocks they fall in, at O(n / _BLOCK + events * _BLOCK).  Every
+    other step takes the prefix search (_prefix_search), in _ROWS rows from
+    _FEW_PATHS paths on, whose only pass over all paths is _ROWS - 1
+    vectorised row adds, and in one row, one cumsum of all paths, below.  The
+    indices come in the order the search visits the paths, not sorted.
     """
     u = _event_keys(rng, r, float(x.sum()), x.max)
     if u is None:
         return _NO_EVENTS
     if _block_form(x.size, u.size):
         return _block_search(x, _block_edges(x), u)
-    return _dense_search(x, u)
+    return _prefix_search(x, u)
 
 
 _NO_EVENTS = np.empty(0, dtype=np.intp)
@@ -322,81 +325,53 @@ def _block_form(n: int, k: int) -> bool:
     return n >= _FEW_PATHS and k * _DENSE <= -(-n // _BLOCK)
 
 
-def _dense_search(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Path of each sorted key u in [0, mass] on a dense step: the strided
-    search from _FEW_PATHS paths on, one cumsum of all paths below."""
-    if x.size < _FEW_PATHS:
-        return _cumsum_search(x, u)
-    return _strided_search(x, u)
+def _prefix_search(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Path of each sorted key u in [0, mass] on a dense step.
 
-
-def _cumsum_search(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Path of each sorted key u in [0, mass], by one cumsum of all paths."""
-    cum = np.cumsum(x)
-    idx = np.searchsorted(cum, u, side="right")
-    # a key at or past the last boundary (rounding) goes to the last positive path
-    return np.minimum(idx, np.searchsorted(cum, cum[-1], side="left"), out=idx)
-
-
-def _strided_sums(x: np.ndarray):
-    """The strided layout of x: its first m = _ROWS * nb paths as _ROWS rows of
-    nb contiguous paths, visited column by column, and the n - m tail paths
-    as one last column.  Returns the (_ROWS, nb) prefix sums down the rows,
-    the prefix sums of the tail, and the column edges: 0 and the cumulative
-    sums of the column totals, in column order."""
-    n = x.size
-    nb = n // _ROWS
-    m = nb * _ROWS
-    rows = x[:m].reshape(_ROWS, nb)
-    P = np.empty((_ROWS, nb))
-    P[0] = rows[0]
-    for r in range(1, _ROWS):
-        np.add(P[r - 1], rows[r], out=P[r])
-    tail = np.cumsum(x[m:])
-    edges = np.zeros(nb + 1 + (m < n))
-    edges[1:nb + 1] = P[-1]
-    edges[nb + 1:] = tail[-1:]
-    return P, tail, np.cumsum(edges, out=edges)
-
-
-def _strided_search(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Path of each sorted key u in [0, mass], visiting the paths column by
-    column in the strided layout (_strided_sums): a key finds its column by
-    one search of the column edges and its row by bisection over log2(_ROWS)
-    gathers of the column's prefix sums.
-
-    A boundary inside a column is its lower edge plus a prefix sum, and its
-    top boundary is the upper edge itself, so a key below that edge stays in
-    the column and lands on a path of positive mass.
+    The n paths lie in R rows of nb = ceil(n / R) contiguous paths, R = _ROWS
+    from _FEW_PATHS paths on and 1 below, and are visited column by column.
+    The prefix sums run down the rows, one vectorised add per row; a row that
+    ends early stays flat past its end.  A key finds its column among the
+    cumulative column totals, and its row by bisection over log2(R) gathers
+    of the column's prefix sums.  A boundary inside a column is its lower
+    edge plus a prefix sum, and its top boundary is the upper edge itself, so
+    a key below that edge stays in the column and lands on a path of
+    positive mass.  One row is one cumsum of all paths.
     """
-    P, tail, edges = _strided_sums(x)
-    nb = P.shape[1]
+    n = x.size
+    rows = _ROWS if n >= _FEW_PATHS else 1
+    nb = -(-n // rows)
+    full, rem = divmod(n, nb)
+    P = np.empty((rows, nb))
+    P[0] = x[:nb]
+    for r in range(1, full):
+        np.add(P[r - 1], x[r * nb:(r + 1) * nb], out=P[r])
+    if full < rows:
+        np.add(P[full - 1, :rem], x[full * nb:], out=P[full, :rem])
+        P[full, rem:] = P[full - 1, rem:]
+        P[full + 1:] = P[full]
+    edges = np.zeros(nb + 1)
+    np.cumsum(P[-1], out=edges[1:])
     if u[-1] >= edges[-1]:
         # a key at or past the last edge (rounding) goes to the last positive path:
         # the largest float below that edge falls on it
         u = np.minimum(u, np.nextafter(edges[-1], 0.0))
-    # the keys of the tail column come last
-    t = int(np.searchsorted(u, edges[nb], side="left")) if tail.size else u.size
-    head = u[:t]
     # the flat index r * nb + c into P of row r and column c is the path, here
     # with the key's column c and row r = 0
-    path = np.searchsorted(edges[1:], head, side="right")
+    path = np.searchsorted(edges[1:], u, side="right")
     low = edges[path]
-    probe, bound, past = np.empty_like(path), np.empty(t), np.empty(t, dtype=bool)
+    probe, bound, past = np.empty_like(path), np.empty(u.size), np.empty(u.size, dtype=bool)
     flat = P.reshape(-1)
-    step = _ROWS // 2
+    step = rows // 2
     while step:
         # the key lies at or past the boundary of row r + step - 1: skip step rows
         np.add(path, (step - 1) * nb, out=probe)
         np.take(flat, probe, out=bound)
         bound += low
-        np.less_equal(bound, head, out=past)
+        np.less_equal(bound, u, out=past)
         path += np.multiply(past, step * nb, out=probe)
         step //= 2
-    if t == u.size:
-        return path
-    in_tail = np.searchsorted(tail + edges[nb], u[t:], side="right")
-    return np.concatenate([path, in_tail + (x.size - tail.size)])
+    return path
 
 
 def _block_edges(x: np.ndarray) -> np.ndarray:
@@ -734,7 +709,7 @@ class _Flow:
         if u is None:
             return _NO_EVENTS
         if not _block_form(self.n, u.size):
-            return _dense_search(self.column(p, self.col), u)
+            return _prefix_search(self.column(p, self.col), u)
         edges = np.zeros(self.nb + 1)
         _combine(self.BY[0], self.BY[1], fa, fb, edges[1:])
         np.cumsum(edges, out=edges)

@@ -319,6 +319,18 @@ def test_v_infinity_of_two_power_tails_bounds_large_lambda():
     assert np.all(v_large <= limit) and np.all(limit <= 1.1 * v_large)
 
 
+# type 1 blows up faster and feeds type 2 above type 2's own asymptote; at
+# (1.25, 1.7) the stiff start layer costs the sweep about 660 000 solver steps
+@pytest.mark.parametrize("alphas", [(1.25, 1.5),
+                                    pytest.param((1.25, 1.7), marks=pytest.mark.slow)])
+def test_v_infinity_of_a_fed_blow_up_converges(alphas):
+    env = _two_power_tails(*alphas)
+    limit, diag = v_infinity(env, 1.0)
+    assert diag["status"] == ("converged", "converged")
+    v12, v16 = (solve_backward(env, 1.0, (lam, lam)).at(0.0) for lam in (1e12, 1e16))
+    assert np.all(v12 <= v16) and np.all(v16 <= limit) and np.all(v16 >= 0.995 * limit)
+
+
 @pytest.mark.parametrize("x", [(-1.0, 0.0), (1.0,), (1.0, 0.0, 2.0)])
 def test_x_must_be_a_nonnegative_pair(x):
     with pytest.raises(ValueError, match="nonnegative 2-vector"):

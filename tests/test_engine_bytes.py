@@ -6,9 +6,13 @@ atom update and the collectors.  ``dirac-cross``, ``atom-rich`` and
 ``draw-free`` run diffusion-free plans in the flow form (a 2x2 map per step,
 marks added to the rows they hit); ``feller``, ``stable-gaussian``,
 ``coupled-batch`` and ``functional`` (a weight density) run the eager step.
-At 2000 rows, below ``_FEW_PATHS``, every case places the events of a step by
-one cumsum of all paths: neither the block search nor the strided search
-runs here, and both are checked index for index against sequential cumsums in
+At 2000 rows, below ``_FEW_PATHS``, every case that draws events places them
+by the prefix search in one row, one cumsum of all paths: ``dirac-cross``
+and ``atom-rich`` from the flow form's columns (and ``atom-rich`` at its
+atoms), ``stable-gaussian`` and ``functional`` on the eager step, and
+``coupled-batch`` among its 1000 pairs; ``feller`` and ``draw-free`` draw no
+event.  Neither the block search nor the prefix search's ``_ROWS`` rows run
+here; both are checked index for index against sequential cumsums in
 ``test_simulate.py``.  ``stable-gaussian`` and ``coupled-batch`` put several
 marks on one row in a step, so their digests pin the order of the mark add
 (one mark after the other, in event order).
@@ -249,7 +253,7 @@ def test_add_marks_writes_through_a_coupled_row_slice():
 @pytest.mark.parametrize("coupled", [False, True])
 def test_add_marks_many_repeats_equal_the_sequential_loop_bitwise(coupled):
     # 5000 events on 10 000 rows: runs of up to ~20 marks on a few rows, single
-    # ones elsewhere, in the unsorted order of the strided search
+    # ones elsewhere, in the unsorted order of the prefix search in rows
     rng = np.random.default_rng(75)
     n = 10_000
     X = np.asfortranarray(rng.uniform(0.0, 3.0, size=(2 * n if coupled else n, 2)))

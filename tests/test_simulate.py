@@ -407,7 +407,7 @@ def test_event_paths_without_events_builds_no_search(n, monkeypatch):
         raise AssertionError("a search was built for a step without events")
 
     monkeypatch.setattr(simulate, "_block_edges", built)
-    monkeypatch.setattr(simulate, "_strided_sums", built)
+    monkeypatch.setattr(simulate, "_prefix_search", built)
     monkeypatch.setattr(np, "cumsum", built)
     assert _event_paths(_NoEventRng(), 1e-3, np.full(n, 0.5)).size == 0
 
@@ -474,11 +474,11 @@ def test_event_paths_extreme_uniforms_land_on_positive_paths(u, x, path):
 
 B = simulate._BLOCK
 R = simulate._ROWS
-# force the search of each event's block, the strided search of all paths, or
-# the one cumsum of all paths
+# force the search of each event's block, or the prefix search of all paths in
+# R rows or in one row
 FORMS = {"block": {"_DENSE": 0, "_FEW_PATHS": 0},
-         "strided": {"_DENSE": 10**9, "_FEW_PATHS": 0},
-         "full": {"_DENSE": 10**9, "_FEW_PATHS": 10**9}}
+         "rows": {"_DENSE": 10**9, "_FEW_PATHS": 0},
+         "one-row": {"_DENSE": 10**9, "_FEW_PATHS": 10**9}}
 
 
 def _force(form, monkeypatch):
@@ -486,22 +486,27 @@ def _force(form, monkeypatch):
         monkeypatch.setattr(simulate, name, value)
 
 
-def _strided_order(n):
-    """The paths column by column of the strided layout, the tail column last."""
-    m = n - n % R
-    return np.concatenate([np.arange(m).reshape(R, m // R).T.ravel(), np.arange(m, n)])
+def _column_order(n, rows):
+    """The paths column by column of rows rows of ceil(n / rows) contiguous
+    paths; a short or empty last row leaves its columns shorter."""
+    nb = -(-n // rows)
+    grid = np.full(rows * nb, -1)
+    grid[:n] = np.arange(n)
+    order = grid.reshape(rows, nb).T.ravel()
+    return order[order >= 0]
 
 
 def _sequential_event_paths(rng, r, x):
     """The placement by one sequential cumsum of all paths, taken in the order
-    the engine visits them: column by column of the strided layout on a dense
-    step from _FEW_PATHS paths on, in index order otherwise."""
+    the engine visits them: column by column of R rows on a dense step from
+    _FEW_PATHS paths on, in index order (one row) otherwise."""
     mass = float(np.cumsum(x)[-1]) if x.size else 0.0
     if mass == 0.0:
         return np.empty(0, dtype=np.intp)
     u = np.sort(rng.random(rng.poisson(r * mass))) * mass
-    strided = x.size >= simulate._FEW_PATHS and not simulate._block_form(x.size, u.size)
-    order = _strided_order(x.size) if strided else np.arange(x.size)
+    rows = (R if x.size >= simulate._FEW_PATHS and not simulate._block_form(x.size, u.size)
+            else 1)
+    order = _column_order(x.size, rows)
     cum = np.cumsum(x[order])
     idx = np.searchsorted(cum, u, side="right")
     return order[np.minimum(idx, np.searchsorted(cum, cum[-1], side="left"))]
@@ -520,10 +525,12 @@ def _patchy_state(n, seed):
     return x
 
 
-# B - 1, B and B + 1 are also R k + R - 1, R k and R k + 1; 10 000 has no tail
-# column, 25 000 a tail of 8 paths
+# in R rows, R (R - 1) paths fill R rows of R - 1, R - 1 paths leave one row
+# empty, R + 1 paths several, and 4097, 4111, 25 000 and 100 003 end in a
+# short row
 @pytest.mark.parametrize("form", [None, *FORMS])
-@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 5, 10_000, 25_000])
+@pytest.mark.parametrize("n", [1, R - 1, R, R + 1, B - 1, B, B + 1, 3 * B + 5, R * (R - 1),
+                               4096, 4097, 4111, 10_000, 25_000, 100_003])
 def test_event_paths_match_the_sequential_cumsum(n, form, monkeypatch):
     if form is not None:
         _force(form, monkeypatch)
@@ -538,6 +545,27 @@ def test_event_paths_match_the_sequential_cumsum(n, form, monkeypatch):
             assert np.all(x[idx] > 0.0)
     # both generators are still in step
     assert rng.random() == ref.random()
+
+
+def _cumsum_search(x, u):
+    """Path of each sorted key u in [0, mass], by one cumsum of all paths."""
+    cum = np.cumsum(x)
+    idx = np.searchsorted(cum, u, side="right")
+    # a key at or past the last boundary (rounding) goes to the last positive path
+    return np.minimum(idx, np.searchsorted(cum, cum[-1], side="left"), out=idx)
+
+
+@pytest.mark.parametrize("n", [1, 2, R + 1, B + 1, 1000, 2500, simulate._FEW_PATHS - 1])
+def test_prefix_search_in_one_row_is_the_cumsum_search(n):
+    # below _FEW_PATHS paths the one row is bit for bit the one cumsum it
+    # replaced, keys at and past the mass included
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        x = _patchy_state(n, seed=int(rng.integers(1 << 30)))
+        mass = float(np.sum(x))
+        u = np.sort(rng.random(int(rng.integers(1, 3 * n + 2)))) * mass
+        u[-1] = max(u[-1], mass, float(np.cumsum(x)[-1]))
+        assert simulate._prefix_search(x, u).tolist() == _cumsum_search(x, u).tolist()
 
 
 @pytest.mark.parametrize("form", FORMS)
@@ -569,26 +597,24 @@ def _count_searches(monkeypatch, names):
     return searched
 
 
-@pytest.mark.parametrize("total, form", [(2.0, "block"), (400.0, "cumsum"),
-                                         (400.0, "strided")])
+@pytest.mark.parametrize("total, form", [(2.0, "block"), (400.0, "one-row"),
+                                         (400.0, "rows")])
 def test_event_paths_counts_are_poisson_on_many_paths(total, form, monkeypatch):
     # n = 8192 paths in 128 blocks: about 2 events per step take the block
-    # search, about 400 the strided search, or the cumsum of all paths where
-    # the strided search is held off
-    n, reps = 8192, {"block": 10_000, "cumsum": 100, "strided": 100}[form]
-    if form == "cumsum":
-        _force("full", monkeypatch)
+    # search, about 400 the prefix search in R rows, or in one row where the
+    # rows are held off
+    n, reps = 8192, {"block": 10_000, "one-row": 100, "rows": 100}[form]
+    if form == "one-row":
+        _force(form, monkeypatch)
     x = _patchy_state(n, seed=53)
     r = total / x.sum()
-    searched = _count_searches(monkeypatch, ("_block_search", "_strided_search",
-                                             "_cumsum_search"))
+    searched = _count_searches(monkeypatch, ("_block_search", "_prefix_search"))
     rng, counts, fired = np.random.default_rng(59), np.zeros(n), 0
     for _ in range(reps):
         idx = _event_paths(rng, r, x)
         fired += idx.size > 0
         counts += np.bincount(idx, minlength=n)
-    ran = {"block": "_block_search", "cumsum": "_cumsum_search",
-           "strided": "_strided_search"}[form]
+    ran = "_block_search" if form == "block" else "_prefix_search"
     assert fired > 0
     assert searched == {name: fired if name == ran else 0 for name in searched}
     live = x > 0
@@ -626,20 +652,28 @@ def test_event_paths_extreme_uniforms_land_on_positive_paths_across_blocks(
 
 
 @pytest.mark.parametrize("u, x, path", [
-    # R k + 3 paths with zero columns 2 to 7 and a zero tail: column 0 (path 40,
-    # in row 5) is visited before column 1 (path 1, in row 0)
-    (0.0, _multi_block(8 * R + 3, {1: 1.5, 5 * 8: 3.0}), 5 * 8),
-    (1.0 - 2.0 ** -53, _multi_block(8 * R + 3, {1: 1.5, 5 * 8: 3.0}), 1),
-    # subnormal masses, inside a column and in the tail column
-    (1.0 - 2.0 ** -53, _multi_block(8 * R + 3, {3 * 8 + 6: 5e-324}), 3 * 8 + 6),
+    # 8 R + 3 paths are 14 rows of 9, a 15th of 5 and an empty 16th; zero
+    # columns 2 to 8 and a zero short row: column 0 (path 45, in row 5) is
+    # visited before column 1 (path 1, in row 0)
+    (0.0, _multi_block(8 * R + 3, {1: 1.5, 5 * 9: 3.0}), 5 * 9),
+    (1.0 - 2.0 ** -53, _multi_block(8 * R + 3, {1: 1.5, 5 * 9: 3.0}), 1),
+    # subnormal masses, inside a column and in the short row
+    (1.0 - 2.0 ** -53, _multi_block(8 * R + 3, {3 * 9 + 6: 5e-324}), 3 * 9 + 6),
     (1.0 - 2.0 ** -53, _multi_block(8 * R + 3, {8 * R + 2: 5e-324}), 8 * R + 2),
-    # zero columns only ahead of the tail
+    # zero columns only ahead of the short row's last path
     (0.0, _multi_block(8 * R + 3, {8 * R + 1: 2.0}), 8 * R + 1),
-    # no tail column: the last positive path is the last one visited, in column 7
+    # the last column, which the short row does not reach
+    (1.0 - 2.0 ** -53, _multi_block(8 * R + 3, {8: 1.0}), 8),
+    # no short row: the last positive path is the last one visited, in column 7
     (1.0 - 2.0 ** -53, _multi_block(8 * R, {8: 1.0, 7: 2.0}), 7),
+    # fewer paths than rows: one path per row, the rest empty
+    (0.0, _multi_block(5, {2: 1.0, 4: 2.0}), 2),
+    (1.0 - 2.0 ** -53, _multi_block(5, {2: 1.0, 4: 2.0}), 4),
+    (1.0 - 2.0 ** -53, _multi_block(5, {3: 5e-324}), 3),
 ])
-def test_strided_search_extreme_uniforms_land_on_positive_paths(u, x, path, monkeypatch):
-    _force("strided", monkeypatch)
+def test_prefix_search_in_rows_extreme_uniforms_land_on_positive_paths(u, x, path,
+                                                                        monkeypatch):
+    _force("rows", monkeypatch)
     idx = _event_paths(_ConstUniformRng(u), 1.0 / 7.0, x)
     assert idx.size == 7
     assert np.all(idx == path)
@@ -647,19 +681,18 @@ def test_strided_search_extreme_uniforms_land_on_positive_paths(u, x, path, monk
 
 
 @pytest.mark.parametrize("n", [8192, 25_000, 100_000])
-def test_dense_steps_on_many_paths_take_the_strided_search(n, monkeypatch):
+def test_dense_steps_on_many_paths_take_the_prefix_search(n, monkeypatch):
     # the suite's densest steps, about 0.06 events per path, in both run forms;
-    # 25 000 is not a multiple of R, so its tail column is searched too
+    # 25 000 is not a multiple of R, so its short last row is searched too
     searched = _count_searches(monkeypatch, ("_block_search", "_search_blocks",
-                                             "_strided_search", "_cumsum_search"))
+                                             "_prefix_search"))
     x = _patchy_state(n, seed=67)
     r = 0.06 * n / x.sum()
     rng = np.random.default_rng(67)
     assert _event_paths(rng, r, x).size > 0
     flow = simulate._Flow(np.column_stack([x, np.zeros(n)]))
     assert flow.events(rng, r, 0).size > 0
-    assert searched == {"_block_search": 0, "_search_blocks": 0, "_strided_search": 2,
-                        "_cumsum_search": 0}
+    assert searched == {"_block_search": 0, "_search_blocks": 0, "_prefix_search": 2}
 
 
 def test_block_search_key_past_its_row_goes_to_the_last_positive_path():
@@ -748,6 +781,24 @@ def test_mesh_cap_counts_every_piece(monkeypatch):
     assert len(_StepPlan(env, 0.0, 1.0, SimOptions(step=0.01)).mesh) == 101
     with pytest.raises(ValueError, match="more than 100 mesh steps"):
         _StepPlan(env, 0.0, 1.0, SimOptions(step=0.0099))
+
+
+def test_plan_indexes_exactly_its_hard_points():
+    # atoms of the environment (one at the horizon), a density breakpoint at
+    # 0.35, weight atoms, checkpoints, and a start inside the horizon
+    env = make_env(b11=const(0.3) + atoms_only((0.2, 0.1), (0.9, 0.2)),
+                   b22=SignedMeasure1D(Density.piecewise_linear([(0.0, 0.5), (0.35, 1.0),
+                                                                 (1.0, 0.0)]), ()),
+                   b12=atoms_only((1.0, 0.3)))
+    zeta = WeightMeasure((atoms_only((0.4, 0.6)), atoms_only((0.7, 0.5))))
+    t0, checkpoints = 0.1, (0.25, 0.5, 1.0)
+    plan = _StepPlan(env, t0, 1.0, SimOptions(step=7e-3), checkpoints=checkpoints, zeta=zeta)
+    hard = env.hard_points(t0, 1.0, zeta, extra=checkpoints)
+    assert list(plan.index_of) == hard
+    assert all(plan.mesh[k] == s for s, k in plan.index_of.items())
+    assert plan.index_of[t0] == 0 and plan.index_of[1.0] == plan.mesh.size - 1
+    assert {k: a.time for k, a in plan.atom_at.items()} == {
+        plan.index_of[s]: s for s in (0.2, 0.9, 1.0)}
 
 
 def test_negative_start_rejected():
@@ -856,16 +907,14 @@ def test_flow_form_agrees_with_the_eager_step(case, monkeypatch):
 
 
 @pytest.mark.parametrize("x0, search", [((1.0, 1.0), "_search_blocks"),
-                                       ((30.0, 30.0), "_strided_search")])
+                                       ((30.0, 30.0), "_prefix_search")])
 def test_flow_form_agrees_across_its_event_searches(x0, search, monkeypatch):
     # 8192 paths in 128 blocks: mostly about 15 events per step, which search
-    # their blocks, or about 450, which form their column and take the strided
+    # their blocks, or about 450, which form their column and take the prefix
     # search (a dense step); the counts are the eager step's and the flow's together
-    searched = _count_searches(monkeypatch, ("_search_blocks", "_strided_search",
-                                             "_cumsum_search"))
+    searched = _count_searches(monkeypatch, ("_search_blocks", "_prefix_search"))
     (rows_e, states_e), (rows_f, states_f) = _both_forms(dirac_cross_env(), x0, 8192,
                                                          (0.5, 1.0), monkeypatch)
-    assert searched.pop("_cumsum_search") == 0
     other, = set(searched) - {search}
     assert searched[search] > 10 * searched[other]
     assert all(np.array_equal(a, b) for a, b in zip(rows_e, rows_f))
